@@ -7,7 +7,6 @@ built on top of them.  A small harness generates random problem corpora and
 scores heuristic choices against externally measured decomposition costs.
 """
 
-from cadorder._backend import BACKEND
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable, VariableOrdering
 from cadorder.generator import GenParams, generate_corpus, random_problem
 from cadorder.heuristics import (
@@ -16,7 +15,6 @@ from cadorder.heuristics import (
     Measures,
     OrderingCapError,
     brown_order,
-    combined_order,
     greedy_sotd_order,
     newh_order,
     ordering_search,
@@ -50,7 +48,6 @@ from cadorder.realroots import count_real_roots, ndrr, sturm_chain
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Constraint",
     "ExactDivisionError",
     "GenParams",
@@ -68,7 +65,6 @@ __all__ = [
     "Variable",
     "VariableOrdering",
     "brown_order",
-    "combined_order",
     "count_real_roots",
     "discriminant",
     "generate_corpus",

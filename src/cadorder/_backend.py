@@ -1,18 +1,11 @@
-"""Kernel backend selection.
+"""The arithmetic kernel, under the name the benchmark looks it up by.
 
-The compiled Cython kernel is used when it imported cleanly; otherwise the
-pure Python twin takes over.  Set CADORDER_PURE_PYTHON=1 to force the pure
-Python kernel (useful for benchmarking and debugging).
+The package has one kernel, ``cadorder._kernel_py``.  This alias stays only
+because ``perfbench/tracer.py`` resolves ``cadorder._backend:kernel`` for the
+``kernel.kmul`` and ``kernel.kexact_div`` metrics, and
+``perfbench/workloads.py`` imports ``BACKEND`` to record it with each result.
 """
 
-import os
-
-if os.environ.get("CADORDER_PURE_PYTHON"):
-    from cadorder import _kernel_py as kernel
-else:
-    try:
-        from cadorder import _kernel as kernel  # type: ignore[no-redef]
-    except ImportError:
-        from cadorder import _kernel_py as kernel  # type: ignore[no-redef]
+from cadorder import _kernel_py as kernel
 
 BACKEND: str = kernel.IMPL

@@ -1,10 +1,10 @@
-"""Sparse term-map kernels, pure Python edition.
+"""Sparse term-map kernels in pure Python.
 
 A polynomial with n variables is stored as a dict mapping exponent tuples of
 length n to nonzero integer coefficients.  The functions below are the inner
 loops of every resultant, gcd and projection computation in the package.
-``cadorder._kernel`` is a Cython translation of this module; the two must
-stay behaviourally identical (see tests/test_backend.py).
+This is the package's only kernel; ``polys`` reaches it as
+``cadorder._backend.kernel`` and calls it through module attributes.
 """
 
 from math import gcd as _int_gcd

@@ -93,14 +93,14 @@ def _cmd_gen(args) -> int:
     types = [t.strip() for t in args.types.split(",") if t.strip()]
     if not types:
         raise _InputError("no system types given")
-    params = GenParams(
-        n_vars=args.vars,
-        max_tdeg=args.max_tdeg,
-        terms=args.terms,
-        coeff_bound=args.coeff_bound,
-        seed=args.seed,
-    )
     try:
+        params = GenParams(
+            n_vars=args.vars,
+            max_tdeg=args.max_tdeg,
+            terms=args.terms,
+            coeff_bound=args.coeff_bound,
+            seed=args.seed,
+        )
         corpus = generate_corpus(types, args.count, params)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc

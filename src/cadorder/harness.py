@@ -73,19 +73,18 @@ class SavingsRow:
     time_saving_pct: Fraction
 
 
+def _fixed(x: Fraction, places: int) -> str:
+    """Exact fixed-point rendering with `places` decimals, ties to even."""
+    unit = 10 ** places
+    scaled = round(x * unit)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), unit)
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
 def format_pct(x: Fraction) -> str:
     """Exact one-decimal rendering (ties to even), e.g. Fraction(1,2) -> '0.5'."""
-    scaled = round(x * 10)
-    sign = "-" if scaled < 0 else ""
-    mag = abs(scaled)
-    return f"{sign}{mag // 10}.{mag % 10}"
-
-
-def _format_2dec(x: Fraction) -> str:
-    scaled = round(x * 100)
-    sign = "-" if scaled < 0 else ""
-    mag = abs(scaled)
-    return f"{sign}{mag // 100}.{mag % 100:02d}"
+    return _fixed(x, 1)
 
 
 # -- sweeping ------------------------------------------------------------------
@@ -378,16 +377,8 @@ def write_aggregate(rows, path: str | Path) -> None:
 def write_summary(rows: list[dict], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(
-            ["group", "problems", "mean_cells", "median_cells",
-             "median_problem_mean_cells", "mean_time_s", "median_time_s",
-             "median_problem_mean_time_s"]
-        )
+        stats = ["mean_cells", "median_cells", "median_problem_mean_cells",
+                 "mean_time_s", "median_time_s", "median_problem_mean_time_s"]
+        out.writerow(["group", "problems", *stats])
         for r in rows:
-            out.writerow(
-                [r["group"], r["problems"],
-                 _format_2dec(r["mean_cells"]), _format_2dec(r["median_cells"]),
-                 _format_2dec(r["median_problem_mean_cells"]),
-                 _format_2dec(r["mean_time_s"]), _format_2dec(r["median_time_s"]),
-                 _format_2dec(r["median_problem_mean_time_s"])]
-            )
+            out.writerow([r["group"], r["problems"], *(_fixed(r[k], 2) for k in stats)])

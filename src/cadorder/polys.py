@@ -30,7 +30,6 @@ __all__ = [
     "content_primitive",
     "poly_gcd",
     "squarefree_part",
-    "gcd_squarefree",
     "prem",
     "resultant",
     "discriminant",
@@ -477,13 +476,6 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     if d.is_const() and d.int_content() == 1:
         return sign_normalize(f)
     return sign_normalize(exact_div(f, d))
-
-
-def gcd_squarefree(f: Polynomial, g: Polynomial | None = None) -> Polynomial:
-    """Two-argument form: gcd(f, g).  One-argument form: squarefree part."""
-    if g is None:
-        return squarefree_part(f)
-    return poly_gcd(f, g)
 
 
 def resultant(f: Polynomial, g: Polynomial, v: int) -> Polynomial:

@@ -148,9 +148,16 @@ def test_gen_is_reproducible(tmp_path, capsys):
     assert (a / "00-000.prob").read_text() != (tmp_path / "c" / "00-000.prob").read_text()
 
 
-def test_gen_rejects_bad_type_label(tmp_path, capsys):
+@pytest.mark.parametrize("flag,value", [
+    ("--types", "3x"),
+    ("--seed", "-1"),
+    ("--vars", "0"),
+    ("--terms", "0"),
+])
+def test_gen_rejects_bad_input(tmp_path, capsys, flag, value):
+    argv = {"--types": "00", "--count": "1", "--seed": "1", flag: value}
     code, _, err = run(
-        capsys, "gen", "--types", "3x", "--count", "1", "--seed", "1",
+        capsys, "gen", *(a for kv in argv.items() for a in kv),
         "--out", str(tmp_path / "c"),
     )
     assert code == 2 and err.startswith("error: ")

@@ -10,7 +10,6 @@ from cadorder.heuristics import (
     Measures,
     OrderingCapError,
     brown_order,
-    combined_order,
     greedy_sotd_order,
     newh_order,
     ordering_search,
@@ -172,6 +171,9 @@ def test_search_matches_naive_recomputation():
 def test_tti_searches_degenerate_to_full_without_ecs():
     p = gen("00", seed=11)
     assert ordering_search(p, "sotd", "tti").choice == ordering_search(p, "sotd").choice
+    assert ordering_search(p, "sotd", "tti").id is HeuristicId.S_TTI
+    with pytest.raises(ValueError):
+        ordering_search(p, "sotd", "tti", tiebreak="ndrr")  # no such heuristic
     assert ordering_search(p, "ndrr", "tti").choice == ordering_search(p, "ndrr").choice
     assert greedy_sotd_order(p, "tti").choice == greedy_sotd_order(p).choice
 
@@ -183,7 +185,7 @@ def test_sn_resolves_sotd_tie_with_ndrr():
     p = gen("20", seed=21)
     plain = ordering_search(p, "sotd")
     assert plain.fallback_lex and plain.choice == p.ordering("x>y>z")
-    r = combined_order(p, "sotd", "ndrr")
+    r = ordering_search(p, "sotd", tiebreak="ndrr")
     assert r.id is HeuristicId.SN
     assert r.choice == p.ordering("x>z>y")
     assert r.tiebreaks_used == ("ndrr",)
@@ -197,7 +199,7 @@ def test_ns_resolves_ndrr_tie_with_sotd():
     p = gen("20", seed=2)
     plain = ordering_search(p, "ndrr")
     assert plain.fallback_lex and plain.choice == p.ordering("x>y>z")
-    r = combined_order(p, "ndrr", "sotd")
+    r = ordering_search(p, "ndrr", tiebreak="sotd")
     assert r.id is HeuristicId.NS
     assert r.choice == p.ordering("y>x>z")
     assert r.tiebreaks_used == ("sotd",)
@@ -208,7 +210,7 @@ def test_ns_resolves_ndrr_tie_with_sotd():
 
 def test_combined_total_tie_falls_back_to_lex():
     p = gen("11", seed=7)
-    r = combined_order(p, "sotd", "ndrr")
+    r = ordering_search(p, "sotd", tiebreak="ndrr")
     assert r.choice == p.ordering("y>x>z")
     assert r.fallback_lex
     assert r.tiebreaks_used == ("ndrr", "lex")
@@ -218,7 +220,7 @@ def test_combined_without_primary_tie_equals_plain_search():
     p = gen("20", seed=3)
     plain = ordering_search(p, "sotd")
     assert not plain.fallback_lex
-    r = combined_order(p, "sotd", "ndrr")
+    r = ordering_search(p, "sotd", tiebreak="ndrr")
     assert r.choice == plain.choice
     assert r.tiebreaks_used == ()
 

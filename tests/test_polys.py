@@ -11,7 +11,6 @@ from cadorder.polys import (
     content_primitive,
     discriminant,
     exact_div,
-    gcd_squarefree,
     poly_gcd,
     prem,
     resultant,
@@ -238,11 +237,6 @@ def test_squarefree_part_commutes_with_variable_swap():
             continue
         # equal up to sign: normalization re-picks the sign in the new order
         assert squarefree_part(swap(f)) == sign_normalize(swap(squarefree_part(f)))
-
-
-def test_gcd_squarefree_dispatch():
-    assert gcd_squarefree(2 * X * X - 2, 4 * X - 4) == 2 * X - 2
-    assert gcd_squarefree((X - 1) * (X - 1)) == X - 1
 
 
 # -- resultants and discriminants -------------------------------------------------
