@@ -7,9 +7,12 @@ ordering heuristics against the average over all orderings:
 * time saving additionally charges the heuristic's own runtime:
   100 * (avg_time - heuristic_time - chosen_time) / avg_time.
 
-All arithmetic is exact (fractions end to end); one-decimal rounding happens
-only when rows are formatted for CSV output.  Problems whose cost table does
-not cover every ordering are excluded from the statistics and reported.
+All arithmetic is exact integer arithmetic: times become integer ticks at one
+scale (the lcm of the cost table's time denominators), each problem's sums are
+taken once, and `Fraction` appears only at the API, one per returned value.
+Rounding (ties to even) happens only when rows are formatted for CSV output.
+Problems whose cost table does not cover every ordering are excluded from the
+statistics and reported.
 
 CSV schemas (header row, comma separator):
 
@@ -76,7 +79,9 @@ class SavingsRow:
 def _fixed(x: Fraction, places: int) -> str:
     """Exact fixed-point rendering with `places` decimals, ties to even."""
     unit = 10 ** places
-    scaled = round(x * unit)
+    scaled, rest = divmod(x.numerator * unit, x.denominator)
+    if 2 * rest > x.denominator or (2 * rest == x.denominator and scaled % 2):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), unit)
     return f"{sign}{whole}.{frac:0{places}d}"
@@ -151,12 +156,16 @@ def read_choices(path: str | Path) -> list[ChoiceRow]:
                 f"{path}: expected columns {sorted(expected)}"
             )
         for lineno, rec in enumerate(reader, start=2):
+            raw = rec["heuristic_time_s"]
             try:
-                time_s = float(rec["heuristic_time_s"]) if rec["heuristic_time_s"] else 0.0
-            except ValueError as exc:
+                time_s = float(raw) if raw else 0.0
+            except ValueError:
+                time_s = math.nan
+            if not (math.isfinite(time_s) and time_s >= 0):
                 raise HarnessInputError(
-                    f"{path}:{lineno}: bad heuristic_time_s {rec['heuristic_time_s']!r}"
-                ) from exc
+                    f"{path}:{lineno}: bad heuristic_time_s {raw!r} "
+                    "(want a finite non-negative number of seconds)"
+                )
             rows.append(
                 ChoiceRow(
                     rec["problem_id"], rec["heuristic"], rec["ordering"],
@@ -220,13 +229,36 @@ def default_group_of(problem_id: str) -> str:
     return head if head else problem_id
 
 
-def _median(values: list[Fraction]) -> Fraction:
+def _time_scale(costs: CostTable) -> int:
+    """Ticks per second: the lcm of every time denominator in the table."""
+    return math.lcm(*{t.denominator for per in costs.rows.values() for _, t in per.values()})
+
+
+def _ticks(t: Fraction, scale: int) -> int:
+    return t.numerator * (scale // t.denominator)
+
+
+def _median(values: list[int], scale: int = 1) -> Fraction:
+    """Exact median of values / scale."""
     vs = sorted(values)
-    n = len(vs)
-    mid = n // 2
-    if n % 2:
-        return vs[mid]
-    return (vs[mid - 1] + vs[mid]) / 2
+    mid = len(vs) // 2
+    if len(vs) % 2:
+        return Fraction(vs[mid], scale)
+    return Fraction(vs[mid - 1] + vs[mid], 2 * scale)
+
+
+def _mean(values: list[Fraction]) -> Fraction:
+    """Exact mean, summed pairwise in a balanced tree of unreduced
+    numerator/denominator pairs and reduced once at the end.  A sequential
+    `Fraction` sum reduces at every step and costs time quadratic in the
+    length of the list."""
+    pairs = [(v.numerator, v.denominator) for v in values]
+    while len(pairs) > 1:
+        odd = [pairs[-1]] if len(pairs) % 2 else []
+        pairs = [(a * d + c * b, b * d)
+                 for (a, b), (c, d) in zip(pairs[0::2], pairs[1::2])] + odd
+    num, den = pairs[0]
+    return Fraction(num, den * len(values))
 
 
 def compute_savings(
@@ -247,8 +279,12 @@ def compute_savings(
     fully-measured problem is an input error.
     """
     group_of = group_of or default_group_of
+    scale = _time_scale(costs)
     savings: list[SavingsRow] = []
     exclusions: list[str] = []
+    # n, total cells and total ticks of the problem whose choices are being
+    # scored; choices are visited sorted by problem, so each is summed once.
+    totals_of = None
     for row in sorted(choices, key=lambda r: (r.problem_id, r.heuristic)):
         if row.status != "ok":
             exclusions.append(
@@ -270,17 +306,27 @@ def compute_savings(
             raise HarnessInputError(
                 f"costs are missing ordering {row.ordering} of problem {row.problem_id}"
             )
-        n = len(per)
-        avg_cells = Fraction(sum(c for c, _ in per.values()), n)
-        avg_time = Fraction(sum(t for _, t in per.values()), n)
-        if avg_cells == 0 or avg_time == 0:
-            raise HarnessInputError(
-                f"problem {row.problem_id} has zero average cost; "
-                "savings are undefined"
-            )
-        cell_pct = 100 * (avg_cells - chosen[0]) / avg_cells
+        if totals_of != row.problem_id:
+            n = len(per)
+            total_cells = sum(c for c, _ in per.values())
+            total_ticks = sum(_ticks(t, scale) for _, t in per.values())
+            if total_cells == 0 or total_ticks == 0:
+                raise HarnessInputError(
+                    f"problem {row.problem_id} has zero average cost; "
+                    "savings are undefined"
+                )
+            totals_of = row.problem_id
+        # 100 * (avg - chosen) / avg with avg = total / n, multiplied through
+        # by n (and, for times, by the scale and the heuristic time's
+        # denominator) so that only integers remain.
+        cells, time_s = chosen
+        cell_pct = Fraction(100 * (total_cells - n * cells), total_cells)
         heuristic_time = Fraction(str(row.heuristic_time_s))
-        time_pct = 100 * (avg_time - heuristic_time - chosen[1]) / avg_time
+        hnum, hden = heuristic_time.numerator, heuristic_time.denominator
+        time_pct = Fraction(
+            100 * (hden * (total_ticks - n * _ticks(time_s, scale)) - n * scale * hnum),
+            hden * total_ticks,
+        )
         savings.append(
             SavingsRow(row.problem_id, row.heuristic, row.ordering, cell_pct, time_pct)
         )
@@ -300,16 +346,18 @@ def compute_savings(
                 (
                     g,
                     heuristic,
-                    sum(r.cell_saving_pct for r in rows) / len(rows),
-                    sum(r.time_saving_pct for r in rows) / len(rows),
+                    _mean([r.cell_saving_pct for r in rows]),
+                    _mean([r.time_saving_pct for r in rows]),
                 )
             )
 
-    summary = _cost_summary(costs, group_of)
+    summary = _cost_summary(costs, group_of, scale)
     return savings, aggregate, summary, exclusions
 
 
-def _cost_summary(costs: CostTable, group_of: Callable[[str], str]) -> list[dict]:
+def _cost_summary(
+    costs: CostTable, group_of: Callable[[str], str], scale: int
+) -> list[dict]:
     """Per-group cost statistics over fully-measured problems (no overall
     row; the combined column only appears in the savings aggregate)."""
     groups: dict[str, list[str]] = {}
@@ -320,28 +368,31 @@ def _cost_summary(costs: CostTable, group_of: Callable[[str], str]) -> list[dict
     ordered = sorted(groups)
     out = []
     for g in ordered:
-        cells: list[Fraction] = []
-        times: list[Fraction] = []
-        cell_means: list[Fraction] = []
-        time_means: list[Fraction] = []
+        cells: list[int] = []
+        ticks: list[int] = []
+        # A problem's mean is total / n; n differs between variable counts,
+        # so the totals are compared at the common multiple `per_mean`.
+        per_mean = math.lcm(*{len(costs.rows[pid]) for pid in groups[g]})
+        cell_means: list[int] = []
+        tick_means: list[int] = []
         for pid in groups[g]:
             per = costs.rows[pid]
-            pc = [Fraction(c) for c, _ in per.values()]
-            pt = [t for _, t in per.values()]
-            cells.extend(pc)
-            times.extend(pt)
-            cell_means.append(sum(pc) / len(pc))
-            time_means.append(sum(pt) / len(pt))
+            pc = [c for c, _ in per.values()]
+            pt = [_ticks(t, scale) for _, t in per.values()]
+            cells += pc
+            ticks += pt
+            cell_means.append(sum(pc) * (per_mean // len(pc)))
+            tick_means.append(sum(pt) * (per_mean // len(pt)))
         out.append(
             {
                 "group": g,
                 "problems": len(groups[g]),
-                "mean_cells": sum(cells) / len(cells),
+                "mean_cells": Fraction(sum(cells), len(cells)),
                 "median_cells": _median(cells),
-                "median_problem_mean_cells": _median(cell_means),
-                "mean_time_s": sum(times) / len(times),
-                "median_time_s": _median(times),
-                "median_problem_mean_time_s": _median(time_means),
+                "median_problem_mean_cells": _median(cell_means, per_mean),
+                "mean_time_s": Fraction(sum(ticks), len(ticks) * scale),
+                "median_time_s": _median(ticks, scale),
+                "median_problem_mean_time_s": _median(tick_means, per_mean * scale),
             }
         )
     return out

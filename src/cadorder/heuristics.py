@@ -263,6 +263,8 @@ def ordering_search(
 def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
     """Allocate the next-greatest variable as the one whose single projection
     step produces the set with the smallest sum of total degrees."""
+    if kind not in ("full", "tti"):
+        raise ValueError(f"unknown projection kind {kind!r}")
     remaining = list(problem.variables)
     chosen: list[Variable] = []
     current: frozenset[Polynomial] | None = None

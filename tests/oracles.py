@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and self-contained: resultants come
 from cofactor expansion of the Sylvester matrix, real-root counts from a
-Descartes/bisection scan over exact rationals, and the ordering search from
-a from-scratch cascade recomputation built on those two.  Only the
+Descartes/bisection scan over exact rationals, the ordering search from
+a from-scratch cascade recomputation built on those two, and the savings
+bookkeeping from per-row `Fraction` averages and sequential `Fraction` sums.  Only the
 Polynomial value type and its ring operations are shared with the package;
 none of the algorithms under test (subresultant PRS, Sturm chains,
 projection operators, heuristics) are imported.
@@ -348,3 +349,94 @@ def naive_search(problem, measure: str, kind: str):
         if best_val is None or val < best_val:
             best, best_val = perm, val
     return tuple(v.name for v in best), best_val
+
+
+# -- savings bookkeeping ----------------------------------------------------------
+
+
+def naive_fixed(x: Fraction, places: int) -> str:
+    """`places` decimals, ties to even, via Fraction rounding."""
+    scaled = round(x * 10 ** places)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), 10 ** places)
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def _fraction_median(values: list[Fraction]) -> Fraction:
+    vs = sorted(values)
+    mid = len(vs) // 2
+    return vs[mid] if len(vs) % 2 else (vs[mid - 1] + vs[mid]) / 2
+
+
+def naive_savings(rows, partial, choices, group_of):
+    """Savings, aggregate means and cost summary, recomputed row by row.
+
+    ``rows`` maps problem id to {ordering: (cells, Fraction time)} and
+    ``partial`` holds the problems to leave out; every "ok" choice must name
+    a fully measured problem.  Returns (savings, aggregate, summary) as
+    plain tuples and dicts of Fractions.
+    """
+    savings = []
+    for c in sorted(choices, key=lambda r: (r.problem_id, r.heuristic)):
+        if c.status != "ok" or c.problem_id in partial:
+            continue
+        per = rows[c.problem_id]
+        avg_cells = Fraction(sum(cells for cells, _ in per.values()), len(per))
+        avg_time = Fraction(sum(t for _, t in per.values()), len(per))
+        cells, time_s = per[c.ordering]
+        cell_pct = 100 * (avg_cells - cells) / avg_cells
+        time_pct = 100 * (avg_time - Fraction(str(c.heuristic_time_s)) - time_s) / avg_time
+        savings.append((c.problem_id, c.heuristic, c.ordering, cell_pct, time_pct))
+
+    members: dict[tuple[str, str], list] = {}
+    for s in savings:
+        members.setdefault((group_of(s[0]), s[1]), []).append(s)
+        members.setdefault(("all", s[1]), []).append(s)
+    keys = sorted(k for k in members if k[0] != "all") + sorted(
+        k for k in members if k[0] == "all")
+    aggregate = []
+    for g, h in keys:
+        ms = members[(g, h)]
+        cell_sum, time_sum = Fraction(0), Fraction(0)
+        for s in ms:
+            cell_sum += s[3]
+            time_sum += s[4]
+        aggregate.append((g, h, cell_sum / len(ms), time_sum / len(ms)))
+
+    summary = []
+    full = [pid for pid in rows if pid not in partial]
+    for g in sorted({group_of(pid) for pid in full}):
+        pids = [pid for pid in full if group_of(pid) == g]
+        cells = [Fraction(c) for pid in pids for c, _ in rows[pid].values()]
+        times = [t for pid in pids for _, t in rows[pid].values()]
+        cell_means = [Fraction(sum(c for c, _ in rows[pid].values()), len(rows[pid]))
+                      for pid in pids]
+        time_means = [sum(t for _, t in rows[pid].values()) / len(rows[pid]) for pid in pids]
+        summary.append({
+            "group": g,
+            "problems": len(pids),
+            "mean_cells": sum(cells) / len(cells),
+            "median_cells": _fraction_median(cells),
+            "median_problem_mean_cells": _fraction_median(cell_means),
+            "mean_time_s": sum(times) / len(times),
+            "median_time_s": _fraction_median(times),
+            "median_problem_mean_time_s": _fraction_median(time_means),
+        })
+    return savings, aggregate, summary
+
+
+def naive_csv_texts(savings, aggregate, summary) -> tuple[str, str, str]:
+    """savings.csv, aggregate.csv and summary.csv as text with \\n line ends."""
+    stats = ["mean_cells", "median_cells", "median_problem_mean_cells",
+             "mean_time_s", "median_time_s", "median_problem_mean_time_s"]
+    lines = (
+        ["problem_id,heuristic,ordering,cell_saving_pct,time_saving_pct"]
+        + [f"{p},{h},{o},{naive_fixed(c, 1)},{naive_fixed(t, 1)}"
+           for p, h, o, c, t in savings],
+        ["group,heuristic,mean_cell_saving_pct,mean_time_saving_pct"]
+        + [f"{g},{h},{naive_fixed(c, 1)},{naive_fixed(t, 1)}" for g, h, c, t in aggregate],
+        [",".join(["group", "problems", *stats])]
+        + [",".join([r["group"], str(r["problems"]), *(naive_fixed(r[k], 2) for k in stats)])
+           for r in summary],
+    )
+    return tuple("".join(line + "\n" for line in part) for part in lines)

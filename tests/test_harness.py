@@ -1,8 +1,13 @@
 """Savings arithmetic, cost-table ingestion, and CSV round-trips."""
 
+import itertools
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import naive_csv_texts, naive_savings
 
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable
 from cadorder.generator import GenParams, random_problem
@@ -210,17 +215,117 @@ def test_cost_table_load_rejects_malformed_input(tmp_path, text, match):
         CostTable.load(path)
 
 
-def test_read_choices_validates(tmp_path):
+CHOICES_HEADER = "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,status\n"
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("problem_id,heuristic\np,brown\n", "expected columns"),
+        (CHOICES_HEADER + "p,brown,x>y,fast,false,ok\n", "bad heuristic_time_s 'fast'"),
+        (CHOICES_HEADER + "p,brown,x>y,nan,false,ok\n", "2: bad heuristic_time_s 'nan'"),
+        (CHOICES_HEADER + "p,brown,x>y,inf,false,ok\n", "2: bad heuristic_time_s 'inf'"),
+        (
+            CHOICES_HEADER + "p,brown,x>y,0.5,false,ok\np,sotd,x>y,-0.5,false,ok\n",
+            "3: bad heuristic_time_s '-0.5'",
+        ),
+    ],
+    ids=["columns", "word", "nan", "inf", "negative"],
+)
+def test_read_choices_validates(tmp_path, text, match):
     path = tmp_path / "choices.csv"
-    path.write_text("problem_id,heuristic\np,brown\n")
-    with pytest.raises(HarnessInputError, match="expected columns"):
+    path.write_text(text)
+    with pytest.raises(HarnessInputError, match=match):
         read_choices(path)
-    path.write_text(
-        "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,status\n"
-        "p,brown,x>y,fast,false,ok\n"
-    )
-    with pytest.raises(HarnessInputError, match="bad heuristic_time_s"):
-        read_choices(path)
+
+
+# ------------------------------------------------ differential: exact eval
+
+TIMES = st.one_of(
+    st.integers(0, 9).map(str),
+    st.builds(lambda k, places: f"{k // 10 ** places}.{k % 10 ** places:0{places}d}",
+              st.integers(0, 4000), st.integers(1, 3)),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(0, 20), st.integers(1, 9)),
+)
+HEURISTIC_TIMES = st.one_of(
+    st.sampled_from([0.0, 0.005, 0.125, 0.5, 0.995, 2.0]),
+    st.floats(0, 5, allow_nan=False),
+)
+
+
+@st.composite
+def studies(draw):
+    """(costs.csv text, choices) over 2- and 3-variable problems, some partial."""
+    lines = ["problem_id,ordering,cells,time_s"]
+    choices = []
+    for k in range(draw(st.integers(1, 5))):
+        pid = f"{draw(st.sampled_from(['10', '20']))}-{k:03d}"
+        names = ("x", "y", "z")[: draw(st.sampled_from([2, 3]))]
+        orderings = [">".join(p) for p in itertools.permutations(names)]
+        if draw(st.integers(0, 3)) == 0:
+            orderings = orderings[:-1]  # partial
+        cells = [draw(st.integers(0, 400)) for _ in orderings]
+        times = [draw(TIMES) for _ in orderings]
+        cells[0] += not any(cells)
+        times[0] = times[0] if any(Fraction(t) for t in times) else "1"
+        lines += [f"{pid},{o},{c},{t}" for o, c, t in zip(orderings, cells, times)]
+        for h in draw(st.lists(st.sampled_from(["brown", "ndrr", "sotd"]),
+                               min_size=1, max_size=3, unique=True)):
+            choices.append(ChoiceRow(
+                pid, h, draw(st.sampled_from(orderings)), draw(HEURISTIC_TIMES), False,
+                draw(st.sampled_from(["ok", "ok", "ok", "error: boom"])),
+            ))
+    return "\n".join(lines) + "\n", choices
+
+
+# Savings of exactly 0.25, -31.25 and 0.35 (ties at one decimal), medians of
+# 0.125, 1.0625 and 0.375 (ties at two decimals), a rational time, negative
+# savings and a partial problem, with 2- and 3-variable problems in group 10.
+TIES = (
+    "problem_id,ordering,cells,time_s\n"
+    "10-000,x>y,399,1\n10-000,y>x,401,3\n"
+    + "".join(f"10-001,{o},{c},0.125\n" for o, c in zip(
+        (">".join(p) for p in itertools.permutations("xyz")), (5, 5, 5, 5, 5, 7)))
+    + "20-000,x>y,1993,1/3\n20-000,y>x,2007,2.5\n"
+    "20-001,x>y,10,0.375\n20-001,y>x,10,0.375\n"
+    "30-000,x>y,1,1\n",
+    [
+        ChoiceRow("10-000", "brown", "x>y", 0.995, False),
+        ChoiceRow("10-000", "ndrr", "y>x", 0.5, False),
+        ChoiceRow("10-001", "brown", "z>y>x", 0.0, False),
+        ChoiceRow("20-000", "brown", "x>y", 0.0, False),
+        ChoiceRow("30-000", "brown", "x>y", 0.0, False),
+    ],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(studies())
+@example(TIES)
+def test_exact_eval_matches_per_row_fraction_oracle(study):
+    text, choices = study
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "costs.csv").write_text(text)
+        costs = CostTable.load(tmp / "costs.csv")
+        savings, aggregate, summary, _ = compute_savings(costs, choices)
+        want = naive_savings(costs.rows, costs.partial, choices, default_group_of)
+        got = (
+            [(s.problem_id, s.heuristic, s.ordering, s.cell_saving_pct, s.time_saving_pct)
+             for s in savings],
+            aggregate,
+            summary,
+        )
+        assert got == want
+        values = [v for *_, c, t in got[0] + got[1] for v in (c, t)]
+        values += [v for r in summary for k, v in r.items() if k not in ("group", "problems")]
+        assert all(type(v) is Fraction for v in values)
+        write_savings(savings, tmp / "savings.csv")
+        write_aggregate(aggregate, tmp / "aggregate.csv")
+        write_summary(summary, tmp / "summary.csv")
+        written = tuple((tmp / n).read_text()
+                        for n in ("savings.csv", "aggregate.csv", "summary.csv"))
+        assert written == naive_csv_texts(*want)
 
 
 # ------------------------------------------------------------------ sweep

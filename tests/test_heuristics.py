@@ -259,6 +259,8 @@ def test_greedy_matches_step_by_step_replay(kind):
         r = greedy_sotd_order(p, kind)
         assert r.choice.names == expected
         assert len(r.notes) == 2 and r.notes[0].startswith("step 1:")
+    with pytest.raises(ValueError, match="unknown projection kind"):
+        greedy_sotd_order(p, "bogus")
 
 
 def test_greedy_two_variables_is_a_single_decision():
