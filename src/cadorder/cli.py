@@ -24,6 +24,7 @@ from cadorder.harness import (
     compute_savings,
     default_group_of,
     read_choices,
+    read_records,
     run_sweep,
     write_aggregate,
     write_choices,
@@ -31,6 +32,7 @@ from cadorder.harness import (
     write_summary,
 )
 from cadorder.heuristics import (
+    MEASURES,
     HeuristicId,
     OrderingCapError,
     sotd,
@@ -38,7 +40,6 @@ from cadorder.heuristics import (
 )
 from cadorder.probio import ProblemFormatError, parse_problem, print_problem
 from cadorder.projection import project_cascade
-from cadorder.realroots import ndrr
 
 _ALL_IDS = [h.value for h in HeuristicId]
 
@@ -147,15 +148,10 @@ def _load_corpus(corpus_dir: str) -> list[tuple[str, Problem]]:
     root = Path(corpus_dir)
     if not root.is_dir():
         raise _InputError(f"{corpus_dir} is not a directory")
-    entries: list[tuple[str, Path]] = []
     manifest = root / "manifest.csv"
     if manifest.exists():
-        with open(manifest, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"id", "path"}.issubset(reader.fieldnames):
-                raise _InputError(f"{manifest}: expected columns id,path")
-            for rec in reader:
-                entries.append((rec["id"], root / rec["path"]))
+        entries = [(rec["id"], root / rec["path"])
+                   for _, rec in read_records(manifest, ("id", "path"))]
     else:
         entries = [(p.stem, p) for p in sorted(root.glob("*.prob"))]
     if not entries:
@@ -186,13 +182,8 @@ def _cmd_sweep(args, parser) -> int:
 def _group_lookup(manifest_path: str | None):
     if manifest_path is None:
         return default_group_of
-    labels: dict[str, str] = {}
-    with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "label"}.issubset(reader.fieldnames):
-            raise _InputError(f"{manifest_path}: expected columns id,label")
-        for rec in reader:
-            labels[rec["id"]] = rec["label"]
+    labels = {rec["id"]: rec["label"]
+              for _, rec in read_records(manifest_path, ("id", "label"))}
 
     def group_of(pid: str) -> str:
         return labels.get(pid) or default_group_of(pid)
@@ -232,10 +223,8 @@ def _cmd_measure(args) -> int:
     print(f"input_sotd: {sotd(inputs)}")
     for kind in ("full", "tti"):
         cascade = project_cascade(problem, ordering, kind)
-        total = sotd(inputs, *(st.polys for st in cascade.stages))
-        final = cascade.stages[-1].polys if cascade.stages else inputs
-        print(f"{kind}_cascade_sotd: {total}")
-        print(f"{kind}_final_ndrr: {ndrr(final)}")
+        print(f"{kind}_cascade_sotd: {MEASURES['sotd'](problem, cascade)}")
+        print(f"{kind}_final_ndrr: {MEASURES['ndrr'](problem, cascade)}")
         for st in cascade.stages:
             print(
                 f"{kind}_stage level={st.level} "

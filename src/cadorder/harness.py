@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from cadorder.formula import Problem
 from cadorder.heuristics import HeuristicId, OrderingCapError, suggest
@@ -44,6 +44,7 @@ __all__ = [
     "run_sweep",
     "write_choices",
     "read_choices",
+    "read_records",
     "compute_savings",
     "write_savings",
     "write_aggregate",
@@ -130,48 +131,63 @@ def run_sweep(
     return rows
 
 
-def write_choices(rows: Iterable[ChoiceRow], path: str | Path) -> None:
+def read_records(
+    path: str | Path, columns: Iterable[str]
+) -> Iterator[tuple[int, dict[str, str]]]:
+    """(line number, record) for each row of a CSV file whose header names
+    at least `columns`; the line number is the row's last physical line, so
+    blank lines are counted.  A missing column, or a row with fewer fields
+    than the header, is a HarnessInputError naming the file (and line)."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        expected = set(columns)
+        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+            raise HarnessInputError(f"{path}: expected columns {sorted(expected)}")
+        for rec in reader:
+            if None in rec.values():
+                raise HarnessInputError(
+                    f"{path}:{reader.line_num}: fewer fields than the header"
+                )
+            yield reader.line_num, rec
+
+
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(
-            ["problem_id", "heuristic", "ordering", "heuristic_time_s",
-             "fallback_lex", "status"]
-        )
-        for r in rows:
-            out.writerow(
-                [r.problem_id, r.heuristic, r.ordering,
-                 f"{r.heuristic_time_s:.6f}",
-                 "true" if r.fallback_lex else "false", r.status]
-            )
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def write_choices(rows: Iterable[ChoiceRow], path: str | Path) -> None:
+    _write_csv(
+        path,
+        ["problem_id", "heuristic", "ordering", "heuristic_time_s", "fallback_lex", "status"],
+        ([r.problem_id, r.heuristic, r.ordering, f"{r.heuristic_time_s:.6f}",
+          "true" if r.fallback_lex else "false", r.status] for r in rows),
+    )
 
 
 def read_choices(path: str | Path) -> list[ChoiceRow]:
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"problem_id", "heuristic", "ordering", "heuristic_time_s",
-                    "fallback_lex", "status"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+    columns = ("problem_id", "heuristic", "ordering", "heuristic_time_s",
+               "fallback_lex", "status")
+    for lineno, rec in read_records(path, columns):
+        raw = rec["heuristic_time_s"]
+        try:
+            time_s = float(raw) if raw else 0.0
+        except ValueError:
+            time_s = math.nan
+        if not (math.isfinite(time_s) and time_s >= 0):
             raise HarnessInputError(
-                f"{path}: expected columns {sorted(expected)}"
+                f"{path}:{lineno}: bad heuristic_time_s {raw!r} "
+                "(want a finite non-negative number of seconds)"
             )
-        for lineno, rec in enumerate(reader, start=2):
-            raw = rec["heuristic_time_s"]
-            try:
-                time_s = float(raw) if raw else 0.0
-            except ValueError:
-                time_s = math.nan
-            if not (math.isfinite(time_s) and time_s >= 0):
-                raise HarnessInputError(
-                    f"{path}:{lineno}: bad heuristic_time_s {raw!r} "
-                    "(want a finite non-negative number of seconds)"
-                )
-            rows.append(
-                ChoiceRow(
-                    rec["problem_id"], rec["heuristic"], rec["ordering"],
-                    time_s, rec["fallback_lex"] == "true", rec["status"],
-                )
+        rows.append(
+            ChoiceRow(
+                rec["problem_id"], rec["heuristic"], rec["ordering"],
+                time_s, rec["fallback_lex"] == "true", rec["status"],
             )
+        )
     return rows
 
 
@@ -192,26 +208,21 @@ class CostTable:
     @classmethod
     def load(cls, path: str | Path) -> "CostTable":
         table = cls()
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = {"problem_id", "ordering", "cells", "time_s"}
-            if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-                raise HarnessInputError(f"{path}: expected columns {sorted(expected)}")
-            for lineno, rec in enumerate(reader, start=2):
-                pid, ordering = rec["problem_id"], rec["ordering"]
-                try:
-                    cells = int(rec["cells"])
-                    time_s = Fraction(rec["time_s"])
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise HarnessInputError(f"{path}:{lineno}: bad numeric field") from exc
-                if cells < 0 or time_s < 0:
-                    raise HarnessInputError(f"{path}:{lineno}: negative cost")
-                per = table.rows.setdefault(pid, {})
-                if ordering in per:
-                    raise HarnessInputError(
-                        f"{path}:{lineno}: duplicate row for {pid} / {ordering}"
-                    )
-                per[ordering] = (cells, time_s)
+        for lineno, rec in read_records(path, ("problem_id", "ordering", "cells", "time_s")):
+            pid, ordering = rec["problem_id"], rec["ordering"]
+            try:
+                cells = int(rec["cells"])
+                time_s = Fraction(rec["time_s"])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise HarnessInputError(f"{path}:{lineno}: bad numeric field") from exc
+            if cells < 0 or time_s < 0:
+                raise HarnessInputError(f"{path}:{lineno}: negative cost")
+            per = table.rows.setdefault(pid, {})
+            if ordering in per:
+                raise HarnessInputError(
+                    f"{path}:{lineno}: duplicate row for {pid} / {ordering}"
+                )
+            per[ordering] = (cells, time_s)
         for pid, per in table.rows.items():
             nvars = {len(o.split(">")) for o in per}
             if len(nvars) != 1:
@@ -402,34 +413,28 @@ def _cost_summary(
 
 
 def write_savings(rows: Iterable[SavingsRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(
-            ["problem_id", "heuristic", "ordering", "cell_saving_pct",
-             "time_saving_pct"]
-        )
-        for r in rows:
-            out.writerow(
-                [r.problem_id, r.heuristic, r.ordering,
-                 format_pct(r.cell_saving_pct), format_pct(r.time_saving_pct)]
-            )
+    _write_csv(
+        path,
+        ["problem_id", "heuristic", "ordering", "cell_saving_pct", "time_saving_pct"],
+        ([r.problem_id, r.heuristic, r.ordering,
+          format_pct(r.cell_saving_pct), format_pct(r.time_saving_pct)] for r in rows),
+    )
 
 
 def write_aggregate(rows, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(
-            ["group", "heuristic", "mean_cell_saving_pct", "mean_time_saving_pct"]
-        )
-        for g, heuristic, cell, time_ in rows:
-            out.writerow([g, heuristic, format_pct(cell), format_pct(time_)])
+    _write_csv(
+        path,
+        ["group", "heuristic", "mean_cell_saving_pct", "mean_time_saving_pct"],
+        ([g, heuristic, format_pct(cell), format_pct(time_)]
+         for g, heuristic, cell, time_ in rows),
+    )
 
 
 def write_summary(rows: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        stats = ["mean_cells", "median_cells", "median_problem_mean_cells",
-                 "mean_time_s", "median_time_s", "median_problem_mean_time_s"]
-        out.writerow(["group", "problems", *stats])
-        for r in rows:
-            out.writerow([r["group"], r["problems"], *(_fixed(r[k], 2) for k in stats)])
+    stats = ["mean_cells", "median_cells", "median_problem_mean_cells",
+             "mean_time_s", "median_time_s", "median_problem_mean_time_s"]
+    _write_csv(
+        path,
+        ["group", "problems", *stats],
+        ([r["group"], r["problems"], *(_fixed(r[k], 2) for k in stats)] for r in rows),
+    )

@@ -29,11 +29,11 @@ from cadorder.formula import Problem, Variable, VariableOrdering
 from cadorder.polys import Polynomial
 from cadorder.projection import (
     ProjectionCascade,
+    first_operator,
     mccallum_project,
     newh_omitted_set,
     newh_set,
     project_cascade,
-    ttiprojection,
 )
 from cadorder.realroots import ndrr
 
@@ -43,6 +43,7 @@ __all__ = [
     "OrderingCapError",
     "ORDERING_CAP",
     "Measures",
+    "MEASURES",
     "variable_measures",
     "sotd",
     "triangular_order",
@@ -192,7 +193,8 @@ def _measure_ndrr(problem: Problem, cascade: ProjectionCascade) -> int:
     return ndrr(problem.defining_polynomials())
 
 
-_MEASURES: dict[str, Callable[[Problem, ProjectionCascade], int]] = {
+# The cascade measures the enumeration heuristics minimize, by name.
+MEASURES: dict[str, Callable[[Problem, ProjectionCascade], int]] = {
     "sotd": _measure_sotd,
     "ndrr": _measure_ndrr,
 }
@@ -225,7 +227,7 @@ def ordering_search(
             f"no heuristic minimizes {measure!r} with tiebreak {tiebreak!r} "
             f"over {kind!r} cascades"
         )
-    measure_fn = _MEASURES[measure]
+    measure_fn = MEASURES[measure]
     candidates: dict[VariableOrdering, dict[str, int]] = {}
     # cascades of the orderings tied at the best value so far, for the tiebreak
     tied_cascades: dict[VariableOrdering, ProjectionCascade] = {}
@@ -243,7 +245,7 @@ def ordering_search(
     tiebreaks: tuple[str, ...] = ()
     if tiebreak and len(tied) > 1:
         tiebreaks = (tiebreak,)
-        tiebreak_fn = _MEASURES[tiebreak]
+        tiebreak_fn = MEASURES[tiebreak]
         for ordering in tied:
             candidates[ordering][tiebreak] = tiebreak_fn(problem, tied_cascades[ordering])
         best_tb = min(candidates[o][tiebreak] for o in tied)
@@ -260,11 +262,13 @@ def ordering_search(
     )
 
 
+_GREEDY = {"full": HeuristicId.GS, "tti": HeuristicId.GS_TTI}
+
+
 def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
     """Allocate the next-greatest variable as the one whose single projection
     step produces the set with the smallest sum of total degrees."""
-    if kind not in ("full", "tti"):
-        raise ValueError(f"unknown projection kind {kind!r}")
+    first = first_operator(kind)
     remaining = list(problem.variables)
     chosen: list[Variable] = []
     current: frozenset[Polynomial] | None = None
@@ -278,10 +282,7 @@ def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
         step_vals = []
         for v in remaining:
             if current is None:
-                if kind == "tti":
-                    ps = ttiprojection(problem, v.index)
-                else:
-                    ps = mccallum_project(problem.defining_polynomials(), v.index)
+                ps = first(problem, v.index)
             else:
                 ps = mccallum_project(current, v.index)
             val = sotd(ps.polys)
@@ -298,7 +299,7 @@ def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
         current = best_polys
     chosen.extend(remaining)
     return HeuristicReport(
-        HeuristicId.GS_TTI if kind == "tti" else HeuristicId.GS,
+        _GREEDY[kind],
         VariableOrdering(tuple(chosen)),
         fallback_lex=fallback,
         tiebreaks_used=("lex",) if fallback else (),

@@ -11,12 +11,18 @@ dropped and the survivors are made primitive, squarefree, sign-normalized
 and deduplicated.  The special sets used by the equational-constraint
 ordering heuristic keep raw (non-primitive, non-squarefree) polynomials
 because only their degrees are measured.
+
+This module is the one place that knows which operator the first
+elimination of a cascade kind uses (`first_operator`), the closure the
+special sets are built from, and the canonical form of a polynomial set
+(`normalize_set`); the heuristics, the root counts and the CLI call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
+from typing import Callable, Collection, Iterable
 
 from cadorder.formula import Problem, VariableOrdering
 from cadorder.polys import (
@@ -34,6 +40,7 @@ __all__ = [
     "normalize_set",
     "mccallum_project",
     "ttiprojection",
+    "first_operator",
     "project_cascade",
     "newh_set",
     "newh_omitted_set",
@@ -60,9 +67,6 @@ class ProjectionSet:
                     f"projection output {f} still mentions the eliminated variable"
                 )
 
-    def sorted_polys(self) -> list[Polynomial]:
-        return sorted(self.polys, key=lambda f: tuple(f.sorted_terms()))
-
 
 @dataclass(frozen=True)
 class ProjectionCascade:
@@ -73,25 +77,19 @@ class ProjectionCascade:
 
 
 def normalize_set(polys: Iterable[Polynomial]) -> frozenset[Polynomial]:
-    """Primitive squarefree sign-normalized deduplication; drops constants."""
-    out = set()
-    for f in polys:
-        if f.is_zero() or f.is_const():
-            continue
-        g = squarefree_part(f)
-        c = g.int_content()
-        if c > 1:
-            g = Polynomial._raw(g.nvars, {e: v // c for e, v in g.terms.items()})
-        if not g.is_const():
-            out.add(sign_normalize(g))
-    return frozenset(out)
+    """Canonical form of a polynomial set: the distinct squarefree parts of
+    its non-constant members (zero counts as constant).
+
+    Relies on the contract of `squarefree_part`: for non-constant input it
+    returns a primitive, non-constant, sign-normalized polynomial, so no
+    further content stripping or sign normalization is needed here.
+    """
+    return frozenset(squarefree_part(f) for f in polys if not f.is_const())
 
 
 def _normalize_raw(polys: Iterable[Polynomial]) -> frozenset[Polynomial]:
     """Dedup and sign-normalize only; degrees must stay untouched."""
-    return frozenset(
-        sign_normalize(f) for f in polys if not (f.is_zero() or f.is_const())
-    )
+    return frozenset(sign_normalize(f) for f in polys if not f.is_const())
 
 
 def _full_contributions(
@@ -101,37 +99,25 @@ def _full_contributions(
     primitive squarefree basis, discriminants and pairwise resultants),
     together with the basis itself."""
     out: list[Polynomial] = []
-    basis: list[Polynomial] = []
-    seen: set[Polynomial] = set()
+    parts: list[Polynomial] = []
     for f in A:
         if f.is_zero():
             raise ValueError("cannot project the zero polynomial")
         cont, prim = content_primitive(f, v)
         out.append(cont)
-        p = squarefree_part(prim)
-        if not p.is_const() and p not in seen:
-            seen.add(p)
-            basis.append(p)
+        parts.append(squarefree_part(prim))
+    basis = [p for p in dict.fromkeys(parts) if not p.is_const()]
     for f in basis:
         out.extend(f.coefficients(v))
         if f.degree(v) >= 2:
             out.append(discriminant(f, v))
-    for i, f in enumerate(basis):
-        for g in basis[i + 1:]:
-            out.append(resultant(f, g, v))
+    out.extend(resultant(f, g, v) for f, g in combinations(basis, 2))
     return out, basis
 
 
 def mccallum_project(A: Iterable[Polynomial], v: int, level: int | None = None) -> ProjectionSet:
     """Full projection of the set A eliminating variable v."""
     return ProjectionSet(normalize_set(_full_contributions(A, v)[0]), v, level)
-
-
-def _first_ec_poly(qff) -> Polynomial | None:
-    for c in qff.constraints:
-        if c.is_equational:
-            return c.poly
-    return None
 
 
 def ttiprojection(problem: Problem, v: int, level: int | None = None) -> ProjectionSet:
@@ -149,12 +135,10 @@ def ttiprojection(problem: Problem, v: int, level: int | None = None) -> Project
     out: list[Polynomial] = []
     designated: list[list[Polynomial]] = []
     for qff in problem.qffs:
-        A: list[Polynomial] = []
-        for c in qff.constraints:
-            if c.poly not in A:
-                A.append(c.poly)
-        e = _first_ec_poly(qff)
-        if e is not None:
+        A = list(dict.fromkeys(qff.polynomials()))
+        ecs = qff.equational_constraints()
+        if ecs:
+            e = ecs[0].poly
             out.extend(e.coefficients(v))
             if e.degree(v) >= 2:
                 out.append(discriminant(e, v))
@@ -175,31 +159,50 @@ def ttiprojection(problem: Problem, v: int, level: int | None = None) -> Project
     return ProjectionSet(normalize_set(out), v, level)
 
 
-def project_cascade(source, ordering: VariableOrdering, kind: str = "full") -> ProjectionCascade:
-    """Repeatedly project along the ordering until one variable remains.
-
-    ``source`` is a Problem; with kind="full" it may also be a bare iterable
-    of polynomials.  kind="tti" uses the reduced operator for the first
-    elimination and the full operator afterwards.
+def first_operator(kind: str) -> Callable[..., ProjectionSet]:
+    """The operator ``op(problem, v, level=None)`` for the first elimination
+    of a cascade of this kind: the full projection of the problem's
+    polynomials for "full", the reduced projection for "tti".  Every later
+    elimination uses the full projection.  An unknown kind raises ValueError
+    before any work is done.
     """
-    if kind not in ("full", "tti"):
-        raise ValueError(f"unknown projection kind {kind!r}")
+    # the operators are looked up when called, so rebinding the module
+    # attributes (the benchmark's tracer does) sees every first stage
+    if kind == "full":
+        return lambda problem, v, level=None: mccallum_project(
+            problem.defining_polynomials(), v, level
+        )
+    if kind == "tti":
+        return lambda problem, v, level=None: ttiprojection(problem, v, level)
+    raise ValueError(f"unknown projection kind {kind!r}")
+
+
+def project_cascade(
+    problem: Problem, ordering: VariableOrdering, kind: str = "full"
+) -> ProjectionCascade:
+    """Repeatedly project the problem along the ordering until one variable
+    remains: the first elimination uses the operator of `kind` (see
+    `first_operator`), every later one the full projection."""
+    first = first_operator(kind)
     n = len(ordering)
     stages: list[ProjectionSet] = []
     if n >= 2:
-        v0 = ordering.variables[0].index
-        if kind == "tti":
-            if not isinstance(source, Problem):
-                raise TypeError("the reduced projection needs a Problem")
-            stage = ttiprojection(source, v0, level=n - 1)
-        else:
-            A = source.defining_polynomials() if isinstance(source, Problem) else source
-            stage = mccallum_project(A, v0, level=n - 1)
-        stages.append(stage)
+        stages.append(first(problem, ordering.variables[0].index, n - 1))
         for k, var in enumerate(ordering.variables[1:-1], start=1):
-            stage = mccallum_project(stages[-1].polys, var.index, level=n - k - 1)
-            stages.append(stage)
+            stages.append(mccallum_project(stages[-1].polys, var.index, level=n - k - 1))
     return ProjectionCascade(ordering, tuple(stages))
+
+
+def _lead_closure(polys: Collection[Polynomial], v: int) -> list[Polynomial]:
+    """Raw discriminants (degree at least 2), leading coefficients and
+    pairwise resultants of polys with respect to v."""
+    out: list[Polynomial] = []
+    for f in polys:
+        if f.degree(v) >= 2:
+            out.append(discriminant(f, v))
+        out.append(f.lcoeff(v))
+    out.extend(resultant(f, g, v) for f, g in combinations(polys, 2))
+    return out
 
 
 def newh_set(problem: Problem, v: int) -> frozenset[Polynomial]:
@@ -211,33 +214,11 @@ def newh_set(problem: Problem, v: int) -> frozenset[Polynomial]:
     or more ECs, the resultant of the first EC polynomial with the second.
     Kept raw (no primitive/squarefree reduction) since only degrees matter.
     """
-    out: list[Polynomial] = []
-    first: list[Polynomial] = []
+    out = _lead_closure(dict.fromkeys(qff.constraints[0].poly for qff in problem.qffs), v)
     for qff in problem.qffs:
-        f = qff.constraints[0].poly
-        if f not in first:
-            first.append(f)
-    for f in first:
-        if f.degree(v) >= 2:
-            out.append(discriminant(f, v))
-        out.append(f.lcoeff(v))
-    for i, f in enumerate(first):
-        for g in first[i + 1:]:
-            out.append(resultant(f, g, v))
-    for qff in problem.qffs:
-        ecs = [c.poly for c in qff.constraints if c.is_equational]
+        ecs = [c.poly for c in qff.equational_constraints()]
         if not ecs:
-            A: list[Polynomial] = []
-            for c in qff.constraints:
-                if c.poly not in A:
-                    A.append(c.poly)
-            for f in A:
-                if f.degree(v) >= 2:
-                    out.append(discriminant(f, v))
-                out.append(f.lcoeff(v))
-            for i, f in enumerate(A):
-                for g in A[i + 1:]:
-                    out.append(resultant(f, g, v))
+            out += _lead_closure(dict.fromkeys(qff.polynomials()), v)
         elif len(ecs) >= 2 and ecs[0] != ecs[1]:
             out.append(resultant(ecs[0], ecs[1], v))
     return _normalize_raw(out)
@@ -245,13 +226,4 @@ def newh_set(problem: Problem, v: int) -> frozenset[Polynomial]:
 
 def newh_omitted_set(problem: Problem, v: int) -> frozenset[Polynomial]:
     """Everything the full first projection closure has beyond newh_set."""
-    polys = sorted(problem.defining_polynomials(), key=lambda f: tuple(f.sorted_terms()))
-    closure: list[Polynomial] = []
-    for f in polys:
-        if f.degree(v) >= 2:
-            closure.append(discriminant(f, v))
-        closure.append(f.lcoeff(v))
-    for i, f in enumerate(polys):
-        for g in polys[i + 1:]:
-            closure.append(resultant(f, g, v))
-    return _normalize_raw(closure) - newh_set(problem, v)
+    return _normalize_raw(_lead_closure(problem.defining_polynomials(), v)) - newh_set(problem, v)

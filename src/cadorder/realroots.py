@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from cadorder.polys import Polynomial, prem, sign_normalize, squarefree_part
+from cadorder.polys import Polynomial, prem, squarefree_part
+from cadorder.projection import normalize_set
 
 __all__ = ["sturm_chain", "count_real_roots", "ndrr"]
 
@@ -86,20 +87,11 @@ def count_real_roots(f: Polynomial) -> int:
 
 
 def ndrr(polys: Iterable[Polynomial]) -> int:
-    """Sum of distinct-real-root counts over a deduplicated set.
+    """Sum of distinct-real-root counts over the canonical set of polys
+    (`normalize_set`: distinct squarefree parts of the non-constant members).
 
     Root counts shared between different polynomials are counted once per
-    polynomial; only exact duplicates (after squarefree sign normalization)
-    collapse.  Constants contribute zero.
+    polynomial; only exact duplicates of the canonical form collapse.
+    Constants contribute zero.
     """
-    seen: set[Polynomial] = set()
-    total = 0
-    for f in polys:
-        if f.is_zero():
-            continue
-        g = sign_normalize(squarefree_part(f))
-        if g.is_const() or g in seen:
-            continue
-        seen.add(g)
-        total += count_real_roots(g)
-    return total
+    return sum(count_real_roots(g) for g in normalize_set(polys))

@@ -216,6 +216,31 @@ def test_sweep_rejects_unknown_heuristic(tmp_path, capsys):
     assert "unknown heuristic 'bogus'" in capsys.readouterr().err
 
 
+def test_sweep_and_eval_reject_a_short_manifest_row(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run(capsys, *gen_args(corpus))[0] == 0
+    manifest = corpus / "manifest.csv"
+    with open(manifest, "a") as fh:
+        fh.write("00-009,00\n")
+    code, _, err = run(
+        capsys, "sweep", "--corpus", str(corpus), "--heuristics", "brown",
+        "--out", str(tmp_path / "c.csv"),
+    )
+    assert code == 2
+    assert err == f"error: {manifest}:6: fewer fields than the header\n"
+    manifest.write_text("id,label\n00-000\n")
+    choices = tmp_path / "choices.csv"
+    choices.write_text("problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,status\n")
+    costs = tmp_path / "costs.csv"
+    costs.write_text("problem_id,ordering,cells,time_s\n")
+    code, _, err = run(
+        capsys, "eval", "--costs", str(costs), "--choices", str(choices),
+        "--out", str(tmp_path / "s.csv"), "--manifest", str(manifest),
+    )
+    assert code == 2
+    assert err == f"error: {manifest}:2: fewer fields than the header\n"
+
+
 def test_sweep_on_empty_directory(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -206,6 +206,8 @@ def test_zero_average_cost_is_an_error(tmp_path):
             "problem_id,ordering,cells,time_s\np,x>y,1,1.0\np,x>y>z,1,1.0\n",
             "mixes orderings",
         ),
+        ("problem_id,ordering,cells,time_s\np,x>y,1,1.0\np,y>x,1\n", "bad.csv:3: fewer fields"),
+        ("problem_id,ordering,cells,time_s\n\np,x>y,1,1.0\np,y>x,ten,1.0\n", "bad.csv:4: bad numeric"),
     ],
 )
 def test_cost_table_load_rejects_malformed_input(tmp_path, text, match):
@@ -229,8 +231,9 @@ CHOICES_HEADER = "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,st
             CHOICES_HEADER + "p,brown,x>y,0.5,false,ok\np,sotd,x>y,-0.5,false,ok\n",
             "3: bad heuristic_time_s '-0.5'",
         ),
+        (CHOICES_HEADER + "p1\n", "choices.csv:2: fewer fields"),
     ],
-    ids=["columns", "word", "nan", "inf", "negative"],
+    ids=["columns", "word", "nan", "inf", "negative", "short"],
 )
 def test_read_choices_validates(tmp_path, text, match):
     path = tmp_path / "choices.csv"

@@ -220,6 +220,10 @@ def test_squarefree_part_has_no_repeated_factors():
             continue
         s = squarefree_part(f * f)
         assert s == squarefree_part(f)  # idempotent across powers
+        # the contract normalize_set relies on: primitive, sign-normalized,
+        # non-constant, whatever the input's integer content and sign
+        assert squarefree_part(-6 * f * f) == s
+        assert s.int_content() == 1 and sign_normalize(s) == s and not s.is_const()
         g = s
         for v in s.variables():
             g = poly_gcd(g, s.derivative(v))

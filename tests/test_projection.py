@@ -5,9 +5,9 @@ import pytest
 from oracles import _naive_tti_step, naive_cascade, oracle_discriminant, sylvester_resultant
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable, VariableOrdering
 from cadorder.generator import GenParams, random_problem
+from cadorder.heuristics import greedy_sotd_order
 from cadorder.polys import Polynomial, sign_normalize
 from cadorder.projection import (
-    ProjectionCascade,
     ProjectionSet,
     mccallum_project,
     newh_omitted_set,
@@ -145,13 +145,15 @@ def test_cascade_hand_chained():
     assert [s.polys for s in c.stages] == naive_cascade(p, p.ordering("z>y>x"), "full")
 
 
-def test_cascade_accepts_bare_polynomials_for_full_kind():
-    c = project_cascade([X**2 + Y**2 - 1, X * Y - Z], VariableOrdering(VARS[::-1]))
-    assert c.stages[0].polys == {X**2 + Y**2 - 1, X * Y}
-    with pytest.raises(TypeError):
-        project_cascade([X * Y - Z], VariableOrdering(VARS[::-1]), kind="tti")
-    with pytest.raises(ValueError):
-        project_cascade([X], VariableOrdering(VARS[::-1]), kind="lazard")
+@pytest.mark.parametrize("nvars", [1, 3])
+def test_unknown_kind_is_rejected_before_any_work(nvars):
+    variables = VARS[:nvars]
+    x = Polynomial.var(nvars, 0)
+    p = make_problem([(x**2 - 1, Relop.EQ)], variables=variables)
+    with pytest.raises(ValueError, match="unknown projection kind 'lazard'"):
+        project_cascade(p, VariableOrdering(variables[::-1]), kind="lazard")
+    with pytest.raises(ValueError, match="unknown projection kind 'lazard'"):
+        greedy_sotd_order(p, "lazard")
 
 
 def test_tti_cascade_equals_full_cascade_without_ecs():
@@ -258,11 +260,3 @@ def test_all_projection_outputs_are_free_of_the_eliminated_variable():
             ):
                 for f in out.polys:
                     assert v not in f.variables()
-
-
-def test_sorted_polys_is_deterministic():
-    s = mccallum_project([X**2 + Y**2 - 1, X * Y - Z], 0)
-    assert s.sorted_polys() == sorted(s.polys, key=lambda f: tuple(f.sorted_terms()))
-    assert isinstance(
-        project_cascade([X * Y - Z], VariableOrdering(VARS[::-1])), ProjectionCascade
-    )
