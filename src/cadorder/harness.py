@@ -7,6 +7,11 @@ ordering heuristics against the average over all orderings:
 * time saving additionally charges the heuristic's own runtime:
   100 * (avg_time - heuristic_time - chosen_time) / avg_time.
 
+A sweep's heuristic_time_s is `suggest`'s elapsed time: the heuristic run
+alone, with its own projection workspace (the memo of squarefree parts,
+resultants, discriminants and cascade stages it builds and drops within the
+call), and nothing shared with other heuristics or problems.
+
 All arithmetic is exact integer arithmetic: times become integer ticks at one
 scale (the lcm of the cost table's time denominators), each problem's sums are
 taken once, and `Fraction` appears only at the API, one per returned value.

@@ -29,6 +29,7 @@ from cadorder.formula import Problem, Variable, VariableOrdering
 from cadorder.polys import Polynomial
 from cadorder.projection import (
     ProjectionCascade,
+    Workspace,
     first_operator,
     mccallum_project,
     newh_omitted_set,
@@ -395,9 +396,16 @@ _DISPATCH: dict[HeuristicId, Callable[[Problem], HeuristicReport]] = {
 
 
 def suggest(problem: Problem, heuristic: HeuristicId | str) -> HeuristicReport:
-    """Run one heuristic on a problem; the report includes wall-clock time."""
+    """Run one heuristic on a problem; the report includes wall-clock time.
+
+    The heuristic runs inside its own projection `Workspace`, opened and
+    dropped inside the timed region, so `elapsed` is the cost of this
+    heuristic alone, its own memo included, and no work is shared with any
+    other call.
+    """
     hid = HeuristicId(heuristic) if not isinstance(heuristic, HeuristicId) else heuristic
     start = time.perf_counter()
-    report = _DISPATCH[hid](problem)
+    with Workspace():
+        report = _DISPATCH[hid](problem)
     report.elapsed = time.perf_counter() - start
     return report

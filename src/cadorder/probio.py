@@ -160,8 +160,13 @@ class _ExprParser:
                           exp if exp is not None else tok)
             n = int(exp[1])
             acc = self._const(1)
-            for _ in range(n):
-                acc = self._mul(acc, base)
+            # square and multiply: about 2*log2(n) products, not n
+            while n:
+                if n & 1:
+                    acc = self._mul(acc, base)
+                n >>= 1
+                if n:
+                    base = self._mul(base, base)
             base = acc
         return base
 

@@ -16,13 +16,29 @@ This module is the one place that knows which operator the first
 elimination of a cascade kind uses (`first_operator`), the closure the
 special sets are built from, and the canonical form of a polynomial set
 (`normalize_set`); the heuristics, the root counts and the CLI call it.
+
+It is also the one place where projection work is shared.  A `Workspace`
+opened with ``with Workspace():`` memoizes, for the code that runs inside
+the block, squarefree parts keyed by the polynomial, resultants keyed by
+``(f, g, v)`` in that order (swapping f and g can flip the sign),
+discriminants keyed by ``(f, v)``, and cascade stages keyed by
+``(problem, kind, number of variables, ordered prefix of eliminated
+variable indices)``.  Since a squarefree part is its own squarefree part,
+each computed one is also stored under itself.  `heuristics.suggest` opens
+one workspace per heuristic call and drops it when the heuristic returns or
+raises, so nothing is shared between heuristics or problems.  With no
+workspace open, every helper computes and stores nothing.  On a miss the
+helpers call `squarefree_part`, `resultant`, `discriminant`,
+`mccallum_project` and the `first_operator` result as module attributes,
+so a wrapper bound over them sees exactly the work that was done.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Hashable, Iterable
 
 from cadorder.formula import Problem, VariableOrdering
 from cadorder.polys import (
@@ -35,6 +51,7 @@ from cadorder.polys import (
 )
 
 __all__ = [
+    "Workspace",
     "ProjectionSet",
     "ProjectionCascade",
     "normalize_set",
@@ -76,6 +93,65 @@ class ProjectionCascade:
     stages: tuple[ProjectionSet, ...]
 
 
+class Workspace:
+    """Memo of projection work, active inside ``with Workspace():``.
+
+    See the module docstring for what is stored and under which keys.  The
+    tables are plain dicts and live as long as the object; leaving the
+    block only stops new lookups from reaching it.
+    """
+
+    def __init__(self):
+        self.squarefree: dict[Polynomial, Polynomial] = {}
+        self.resultants: dict[tuple, Polynomial] = {}
+        self.discriminants: dict[tuple, Polynomial] = {}
+        self.stages: dict[tuple, ProjectionSet] = {}
+        self._token = None
+
+    def __enter__(self) -> "Workspace":
+        self._token = _OPEN.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _OPEN.reset(self._token)
+        self._token = None
+
+
+# The workspace the running code reads through, or None.
+_OPEN: ContextVar[Workspace | None] = ContextVar("cadorder_projection_workspace", default=None)
+
+
+def _memo(table: str, key: Hashable, fn: Callable, *args):
+    """fn(*args) through the named table of the open workspace, if any."""
+    ws = _OPEN.get()
+    if ws is None:
+        return fn(*args)
+    memo = getattr(ws, table)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = fn(*args)
+    return out
+
+
+def _squarefree(f: Polynomial) -> Polynomial:
+    ws = _OPEN.get()
+    if ws is None:
+        return squarefree_part(f)
+    out = ws.squarefree.get(f)
+    if out is None:
+        out = ws.squarefree[f] = squarefree_part(f)
+        ws.squarefree.setdefault(out, out)
+    return out
+
+
+def _resultant(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
+    return _memo("resultants", (f, g, v), resultant, f, g, v)
+
+
+def _discriminant(f: Polynomial, v: int) -> Polynomial:
+    return _memo("discriminants", (f, v), discriminant, f, v)
+
+
 def normalize_set(polys: Iterable[Polynomial]) -> frozenset[Polynomial]:
     """Canonical form of a polynomial set: the distinct squarefree parts of
     its non-constant members (zero counts as constant).
@@ -84,7 +160,7 @@ def normalize_set(polys: Iterable[Polynomial]) -> frozenset[Polynomial]:
     returns a primitive, non-constant, sign-normalized polynomial, so no
     further content stripping or sign normalization is needed here.
     """
-    return frozenset(squarefree_part(f) for f in polys if not f.is_const())
+    return frozenset(_squarefree(f) for f in polys if not f.is_const())
 
 
 def _normalize_raw(polys: Iterable[Polynomial]) -> frozenset[Polynomial]:
@@ -105,13 +181,13 @@ def _full_contributions(
             raise ValueError("cannot project the zero polynomial")
         cont, prim = content_primitive(f, v)
         out.append(cont)
-        parts.append(squarefree_part(prim))
+        parts.append(_squarefree(prim))
     basis = [p for p in dict.fromkeys(parts) if not p.is_const()]
     for f in basis:
         out.extend(f.coefficients(v))
         if f.degree(v) >= 2:
-            out.append(discriminant(f, v))
-    out.extend(resultant(f, g, v) for f, g in combinations(basis, 2))
+            out.append(_discriminant(f, v))
+    out.extend(_resultant(f, g, v) for f, g in combinations(basis, 2))
     return out, basis
 
 
@@ -141,10 +217,10 @@ def ttiprojection(problem: Problem, v: int, level: int | None = None) -> Project
             e = ecs[0].poly
             out.extend(e.coefficients(v))
             if e.degree(v) >= 2:
-                out.append(discriminant(e, v))
+                out.append(_discriminant(e, v))
             for g in A:
                 if g != e:
-                    out.append(resultant(e, g, v))
+                    out.append(_resultant(e, g, v))
             designated.append([e])
         else:
             contrib, basis = _full_contributions(A, v)
@@ -155,7 +231,7 @@ def ttiprojection(problem: Problem, v: int, level: int | None = None) -> Project
             for f in Ei:
                 for g in Ej:
                     if f != g:
-                        out.append(resultant(f, g, v))
+                        out.append(_resultant(f, g, v))
     return ProjectionSet(normalize_set(out), v, level)
 
 
@@ -185,11 +261,13 @@ def project_cascade(
     `first_operator`), every later one the full projection."""
     first = first_operator(kind)
     n = len(ordering)
+    idx = ordering.indices
     stages: list[ProjectionSet] = []
     if n >= 2:
-        stages.append(first(problem, ordering.variables[0].index, n - 1))
-        for k, var in enumerate(ordering.variables[1:-1], start=1):
-            stages.append(mccallum_project(stages[-1].polys, var.index, level=n - k - 1))
+        stages.append(_memo("stages", (problem, kind, n, idx[:1]), first, problem, idx[0], n - 1))
+        for k in range(1, n - 1):
+            stages.append(_memo("stages", (problem, kind, n, idx[:k + 1]), mccallum_project,
+                                stages[-1].polys, idx[k], n - k - 1))
     return ProjectionCascade(ordering, tuple(stages))
 
 
@@ -199,9 +277,9 @@ def _lead_closure(polys: Collection[Polynomial], v: int) -> list[Polynomial]:
     out: list[Polynomial] = []
     for f in polys:
         if f.degree(v) >= 2:
-            out.append(discriminant(f, v))
+            out.append(_discriminant(f, v))
         out.append(f.lcoeff(v))
-    out.extend(resultant(f, g, v) for f, g in combinations(polys, 2))
+    out.extend(_resultant(f, g, v) for f, g in combinations(polys, 2))
     return out
 
 
@@ -220,7 +298,7 @@ def newh_set(problem: Problem, v: int) -> frozenset[Polynomial]:
         if not ecs:
             out += _lead_closure(dict.fromkeys(qff.polynomials()), v)
         elif len(ecs) >= 2 and ecs[0] != ecs[1]:
-            out.append(resultant(ecs[0], ecs[1], v))
+            out.append(_resultant(ecs[0], ecs[1], v))
     return _normalize_raw(out)
 
 

@@ -20,7 +20,9 @@ __all__ = ["sturm_chain", "count_real_roots", "ndrr"]
 
 def _univariate_in(f: Polynomial) -> int | None:
     """Index of the single variable of f, or None for constants; raises on
-    genuinely multivariate input."""
+    zero or genuinely multivariate input."""
+    if f.is_zero():
+        raise ValueError("Sturm chain of the zero polynomial is undefined")
     vs = f.variables()
     if len(vs) > 1:
         raise ValueError(f"{f} is not univariate")
@@ -34,15 +36,9 @@ def _strip_content(f: Polynomial) -> Polynomial:
     return f
 
 
-def sturm_chain(f: Polynomial) -> list[Polynomial]:
-    """Sturm chain of the squarefree part of f (nonzero, univariate)."""
-    if f.is_zero():
-        raise ValueError("Sturm chain of the zero polynomial is undefined")
-    v = _univariate_in(f)
-    f0 = squarefree_part(f)
-    if v is None or f0.is_const():
-        return [f0]
-    chain = [f0, _strip_content(f0.derivative(v))]
+def _chain(f: Polynomial, v: int) -> list[Polynomial]:
+    """Sturm chain of f itself, f non-constant in v, no squarefree pass."""
+    chain = [f, _strip_content(f.derivative(v))]
     while True:
         a, b = chain[-2], chain[-1]
         da, db = a.degree(v), b.degree(v)
@@ -55,6 +51,15 @@ def sturm_chain(f: Polynomial) -> list[Polynomial]:
             r = -r
         chain.append(_strip_content(-r))
     return chain
+
+
+def sturm_chain(f: Polynomial) -> list[Polynomial]:
+    """Sturm chain of the squarefree part of f (nonzero, univariate)."""
+    v = _univariate_in(f)
+    f0 = squarefree_part(f)
+    if v is None or f0.is_const():
+        return [f0]
+    return _chain(f0, v)
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -70,11 +75,17 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 def count_real_roots(f: Polynomial) -> int:
-    """Number of distinct real roots of a nonzero univariate polynomial."""
-    chain = sturm_chain(f)
-    if len(chain) == 1 and chain[0].is_const():
+    """Number of distinct real roots of a nonzero univariate polynomial.
+
+    Uses the chain of f itself, without a squarefree pass: a repeated factor
+    ends the chain at gcd(f, f') instead of a constant, and multiplies every
+    entry's sign at -infinity and +infinity alike, so the drop in sign
+    variations still counts each distinct real root once.
+    """
+    v = _univariate_in(f)
+    if v is None:
         return 0
-    v = _univariate_in(chain[0])
+    chain = _chain(_strip_content(f), v)
     at_neg = []
     at_pos = []
     for p in chain:

@@ -1,11 +1,15 @@
 """End-to-end command line behaviour: exit codes, files written, messages."""
 
 import csv
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from cadorder import cli
+from cadorder import __version__, cli
 
 CIRCLE_PAIR = """\
 vars: x,y,z
@@ -23,6 +27,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "cadorder", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"cadorder {__version__}"
 
 
 # ---------------------------------------------------------------- suggest

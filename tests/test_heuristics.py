@@ -1,8 +1,12 @@
 """The twelve ordering heuristics: measures, searches, tie-breaks, reports."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import naive_cascade, naive_search, naive_sotd, _naive_full_step, _naive_tti_step
+from cadorder import projection
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable
 from cadorder.generator import GenParams, random_problem
 from cadorder.heuristics import (
@@ -351,6 +355,70 @@ def test_suggest_dispatch_and_timing():
     assert suggest(p, HeuristicId.BROWN).choice == brown_order(p).choice
     with pytest.raises(ValueError):
         suggest(p, "fastest")
+
+
+# Each heuristic called directly, outside any projection workspace.
+DIRECT = {
+    HeuristicId.TRIANGULAR: triangular_order,
+    HeuristicId.BROWN: brown_order,
+    HeuristicId.SOTD: lambda p: ordering_search(p, "sotd"),
+    HeuristicId.NDRR: lambda p: ordering_search(p, "ndrr"),
+    HeuristicId.SN: lambda p: ordering_search(p, "sotd", tiebreak="ndrr"),
+    HeuristicId.NS: lambda p: ordering_search(p, "ndrr", tiebreak="sotd"),
+    HeuristicId.GS: lambda p: greedy_sotd_order(p, "full"),
+    HeuristicId.S_TTI: lambda p: ordering_search(p, "sotd", "tti"),
+    HeuristicId.N_TTI: lambda p: ordering_search(p, "ndrr", "tti"),
+    HeuristicId.GS_TTI: lambda p: greedy_sotd_order(p, "tti"),
+    HeuristicId.NEWH: newh_order,
+    HeuristicId.NEWH_EXT: lambda p: newh_order(p, extended=True),
+}
+
+
+def report_fields(r):
+    return {f.name: getattr(r, f.name) for f in fields(r) if f.name != "elapsed"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nvars=st.integers(1, 4),
+    label=st.sampled_from(["0", "1", "2", "00", "10", "20", "11", "12", "21", "22"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_workspace_changes_no_report(nvars, label, seed):
+    p = gen(label, seed, n_vars=nvars, max_tdeg=2, terms=2)
+    for hid in ALL_IDS:
+        direct = DIRECT[hid](p)
+        assert projection._OPEN.get() is None
+        assert report_fields(suggest(p, hid)) == report_fields(direct), hid
+
+
+def test_suggest_opens_one_workspace_per_call_and_always_drops_it(monkeypatch):
+    seen = []
+    squarefree_part = projection.squarefree_part
+
+    def spy(f):
+        seen.append(projection._OPEN.get())
+        return squarefree_part(f)
+
+    monkeypatch.setattr(projection, "squarefree_part", spy)
+    p = gen("21", seed=41)
+    suggest(p, "sotd")
+    suggest(p, "gs")
+    assert projection._OPEN.get() is None
+    assert None not in seen and len({id(ws) for ws in seen}) == 2
+
+    with pytest.raises(OrderingCapError):
+        suggest(gen("0", seed=3, n_vars=9, max_tdeg=2, terms=2), "sotd")
+    assert projection._OPEN.get() is None
+
+    def broken(f, g, v):
+        assert projection._OPEN.get() is not None
+        raise ArithmeticError("resultant failed")
+
+    monkeypatch.setattr(projection, "resultant", broken)
+    with pytest.raises(ArithmeticError):
+        suggest(p, "sotd")
+    assert projection._OPEN.get() is None
 
 
 def test_choices_are_permutations_and_replays_are_identical():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cadorder import probio
 from cadorder.formula import Relop
 from cadorder.polys import Polynomial
 from cadorder.probio import ProblemFormatError, parse_problem, print_problem
@@ -66,6 +67,25 @@ def test_parentheses_unary_minus_and_powers():
     got = p.qffs[0].constraints[0]
     assert got.poly in (want, -want)  # sign normalization may mirror
     assert p.qffs[0].constraints[0].poly == -want  # normalized leading +
+
+
+def test_powers_are_exact_and_take_logarithmically_many_products(monkeypatch):
+    x, y = Polynomial.var(2, 0), Polynomial.var(2, 1)
+    p = parse_problem("vars: x,y\nqff: (x+y+1)^13 > 0\n")
+    assert p.qffs[0].constraints[0].poly == (x + y + 1) ** 13
+    assert parse_problem(print_problem(p)) == p
+    products = []
+    mul = probio._ExprParser._mul
+
+    def counting_mul(self, a, b):
+        products.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(probio._ExprParser, "_mul", counting_mul)
+    n = 100000
+    p = parse_problem(f"vars: x\nqff: x^{n} = 0\n")
+    assert p.qffs[0].constraints[0].poly == Polynomial(1, {(n,): 1})
+    assert len(products) <= 2 * n.bit_length()
 
 
 def test_error_positions_and_messages():

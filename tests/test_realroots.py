@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles import dense_coeffs, descartes_root_count
+from cadorder import projection, realroots
 from cadorder.polys import Polynomial, poly_gcd, squarefree_part
 from cadorder.realroots import count_real_roots, ndrr, sturm_chain
 
@@ -148,3 +149,18 @@ def test_ndrr_mixed_contexts_allowed():
     # members may live in a wider ring as long as each uses one variable
     x, y = (Polynomial.var(2, i) for i in range(2))
     assert ndrr([x**2 - 1, y**3 - y]) == 5
+
+
+def test_ndrr_takes_one_squarefree_part_per_member(monkeypatch):
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return squarefree_part(f)
+
+    monkeypatch.setattr(projection, "squarefree_part", spy)
+    monkeypatch.setattr(realroots, "squarefree_part", spy)
+    members = [(X - 1) ** 2 * (X + 2), X**3 - X, 4 * X**2 - 8]
+    assert ndrr(members) == 2 + 3 + 2
+    # the root counts trust normalize_set's squarefree parts
+    assert calls == members
