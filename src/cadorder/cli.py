@@ -162,6 +162,8 @@ def _load_corpus(corpus_dir: str) -> list[tuple[str, Problem]]:
             corpus.append((pid, parse_problem(path.read_text())))
         except OSError as exc:
             raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except ProblemFormatError as exc:
+            raise _InputError(f"{path}: {exc}") from exc
     return corpus
 
 

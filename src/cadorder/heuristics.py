@@ -29,12 +29,13 @@ from cadorder.formula import Problem, Variable, VariableOrdering
 from cadorder.polys import Polynomial
 from cadorder.projection import (
     ProjectionCascade,
+    ProjectionSet,
     Workspace,
-    first_operator,
-    mccallum_project,
+    _check_kind,
     newh_omitted_set,
     newh_set,
     project_cascade,
+    projection_stage,
 )
 from cadorder.realroots import ndrr
 
@@ -268,28 +269,28 @@ _GREEDY = {"full": HeuristicId.GS, "tti": HeuristicId.GS_TTI}
 
 def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
     """Allocate the next-greatest variable as the one whose single projection
-    step produces the set with the smallest sum of total degrees."""
-    first = first_operator(kind)
+    step produces the set with the smallest sum of total degrees.  Each step
+    is the `projection_stage` of the chosen prefix plus one candidate, so it
+    is the stage an enumerated cascade with that prefix holds."""
+    _check_kind(kind)
     remaining = list(problem.variables)
     chosen: list[Variable] = []
-    current: frozenset[Polynomial] | None = None
+    current: ProjectionSet | None = None
     fallback = False
     notes: list[str] = []
     while len(remaining) > 1:
         best_var = None
         best_val = None
-        best_polys = None
+        best_stage = None
         tied = 0
         step_vals = []
+        prefix = tuple(v.index for v in chosen)
         for v in remaining:
-            if current is None:
-                ps = first(problem, v.index)
-            else:
-                ps = mccallum_project(current, v.index)
+            ps = projection_stage(problem, kind, prefix + (v.index,), current)
             val = sotd(ps.polys)
             step_vals.append(f"{v.name}:{val}")
             if best_val is None or val < best_val:
-                best_var, best_val, best_polys, tied = v, val, ps.polys, 1
+                best_var, best_val, best_stage, tied = v, val, ps, 1
             elif val == best_val:
                 tied += 1
         if tied > 1:
@@ -297,7 +298,7 @@ def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
         notes.append(f"step {len(chosen) + 1}: " + " ".join(step_vals))
         chosen.append(best_var)
         remaining.remove(best_var)
-        current = best_polys
+        current = best_stage
     chosen.extend(remaining)
     return HeuristicReport(
         _GREEDY[kind],

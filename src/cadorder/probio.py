@@ -94,7 +94,8 @@ class _ExprParser:
     def _const(self, value) -> dict:
         return {(0,) * self.nvars: Fraction(value)} if value else {}
 
-    def _add(self, a, b, negate=False):
+    @staticmethod
+    def _add(a, b, negate=False):
         out = dict(a)
         for e, c in b.items():
             s = out.get(e, 0) + (-c if negate else c)
@@ -225,14 +226,7 @@ def _parse_constraint(tokens, names, nvars, end_col) -> Constraint:
 
     lhs = run(lhs_tokens, tokens[i][2])
     rhs = run(rhs_tokens, end_col)
-    combined = dict(lhs)
-    for e, c in rhs.items():
-        s = combined.get(e, 0) - c
-        if s:
-            combined[e] = s
-        else:
-            combined.pop(e, None)
-    poly = _clear_denominators(combined, nvars)
+    poly = _clear_denominators(_ExprParser._add(lhs, rhs, negate=True), nvars)
     if poly.is_zero():
         raise _LineError(tokens[0][2], "constraint polynomial simplifies to zero")
     return Constraint(poly, relop)

@@ -12,25 +12,25 @@ and deduplicated.  The special sets used by the equational-constraint
 ordering heuristic keep raw (non-primitive, non-squarefree) polynomials
 because only their degrees are measured.
 
-This module is the one place that knows which operator the first
-elimination of a cascade kind uses (`first_operator`), the closure the
-special sets are built from, and the canonical form of a polynomial set
-(`normalize_set`); the heuristics, the root counts and the CLI call it.
+This module is the one place that builds a cascade stage
+(`projection_stage`, called by the cascades and the greedy search), the
+closure the special sets are built from, and the canonical form of a
+polynomial set (`normalize_set`).
 
 It is also the one place where projection work is shared.  A `Workspace`
-opened with ``with Workspace():`` memoizes, for the code that runs inside
-the block, squarefree parts keyed by the polynomial, resultants keyed by
-``(f, g, v)`` in that order (swapping f and g can flip the sign),
-discriminants keyed by ``(f, v)``, and cascade stages keyed by
-``(problem, kind, number of variables, ordered prefix of eliminated
-variable indices)``.  Since a squarefree part is its own squarefree part,
-each computed one is also stored under itself.  `heuristics.suggest` opens
-one workspace per heuristic call and drops it when the heuristic returns or
-raises, so nothing is shared between heuristics or problems.  With no
-workspace open, every helper computes and stores nothing.  On a miss the
-helpers call `squarefree_part`, `resultant`, `discriminant`,
-`mccallum_project` and the `first_operator` result as module attributes,
-so a wrapper bound over them sees exactly the work that was done.
+opened with ``with Workspace():`` is one dict that memoizes, for the code
+that runs inside the block, squarefree parts, resultants and discriminants
+under ``(function, *arguments)`` (resultant arguments in order: swapping f
+and g can flip the sign) and stages under ``(problem, kind, ordered prefix
+of eliminated variable indices)``, so a greedy step and a cascade with the
+same prefix share one stage, ``level`` set.  A squarefree part is also
+stored under itself.  `heuristics.suggest` opens one workspace per
+heuristic call and drops it when the heuristic returns or raises, so
+nothing is shared between heuristics or problems.  With no workspace open,
+nothing is stored.  On a miss the lookup calls `squarefree_part`,
+`resultant`, `discriminant`, `mccallum_project` and `ttiprojection` as
+module attributes, so a wrapper bound over them sees exactly the work that
+was done.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
     "normalize_set",
     "mccallum_project",
     "ttiprojection",
-    "first_operator",
+    "projection_stage",
     "project_cascade",
     "newh_set",
     "newh_omitted_set",
@@ -69,8 +69,8 @@ class ProjectionSet:
     """Result of eliminating one variable.
 
     ``level`` is the number of variables still in play after the elimination
-    when the set was produced by a cascade; standalone projections leave it
-    as None.
+    when the set is a stage (`projection_stage`, whether a cascade or the
+    greedy search built it); standalone projections leave it as None.
     """
 
     polys: frozenset[Polynomial]
@@ -97,15 +97,12 @@ class Workspace:
     """Memo of projection work, active inside ``with Workspace():``.
 
     See the module docstring for what is stored and under which keys.  The
-    tables are plain dicts and live as long as the object; leaving the
+    memo is one plain dict and lives as long as the object; leaving the
     block only stops new lookups from reaching it.
     """
 
     def __init__(self):
-        self.squarefree: dict[Polynomial, Polynomial] = {}
-        self.resultants: dict[tuple, Polynomial] = {}
-        self.discriminants: dict[tuple, Polynomial] = {}
-        self.stages: dict[tuple, ProjectionSet] = {}
+        self.memo: dict[Hashable, object] = {}
         self._token = None
 
     def __enter__(self) -> "Workspace":
@@ -121,35 +118,21 @@ class Workspace:
 _OPEN: ContextVar[Workspace | None] = ContextVar("cadorder_projection_workspace", default=None)
 
 
-def _memo(table: str, key: Hashable, fn: Callable, *args):
-    """fn(*args) through the named table of the open workspace, if any."""
+def _memo(fn: Callable, *args, key: Hashable = None):
+    """fn(*args) through the open workspace, if any, under key (by default
+    ``(fn, *args)``); a computed squarefree part is also stored under itself."""
     ws = _OPEN.get()
     if ws is None:
         return fn(*args)
-    memo = getattr(ws, table)
+    memo = ws.memo
+    if key is None:
+        key = (fn, *args)
     out = memo.get(key)
     if out is None:
         out = memo[key] = fn(*args)
+        if fn is squarefree_part:
+            memo.setdefault((fn, out), out)
     return out
-
-
-def _squarefree(f: Polynomial) -> Polynomial:
-    ws = _OPEN.get()
-    if ws is None:
-        return squarefree_part(f)
-    out = ws.squarefree.get(f)
-    if out is None:
-        out = ws.squarefree[f] = squarefree_part(f)
-        ws.squarefree.setdefault(out, out)
-    return out
-
-
-def _resultant(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
-    return _memo("resultants", (f, g, v), resultant, f, g, v)
-
-
-def _discriminant(f: Polynomial, v: int) -> Polynomial:
-    return _memo("discriminants", (f, v), discriminant, f, v)
 
 
 def normalize_set(polys: Iterable[Polynomial]) -> frozenset[Polynomial]:
@@ -160,7 +143,7 @@ def normalize_set(polys: Iterable[Polynomial]) -> frozenset[Polynomial]:
     returns a primitive, non-constant, sign-normalized polynomial, so no
     further content stripping or sign normalization is needed here.
     """
-    return frozenset(_squarefree(f) for f in polys if not f.is_const())
+    return frozenset(_memo(squarefree_part, f) for f in polys if not f.is_const())
 
 
 def _normalize_raw(polys: Iterable[Polynomial]) -> frozenset[Polynomial]:
@@ -181,13 +164,13 @@ def _full_contributions(
             raise ValueError("cannot project the zero polynomial")
         cont, prim = content_primitive(f, v)
         out.append(cont)
-        parts.append(_squarefree(prim))
+        parts.append(_memo(squarefree_part, prim))
     basis = [p for p in dict.fromkeys(parts) if not p.is_const()]
     for f in basis:
         out.extend(f.coefficients(v))
         if f.degree(v) >= 2:
-            out.append(_discriminant(f, v))
-    out.extend(_resultant(f, g, v) for f, g in combinations(basis, 2))
+            out.append(_memo(discriminant, f, v))
+    out.extend(_memo(resultant, f, g, v) for f, g in combinations(basis, 2))
     return out, basis
 
 
@@ -217,10 +200,10 @@ def ttiprojection(problem: Problem, v: int, level: int | None = None) -> Project
             e = ecs[0].poly
             out.extend(e.coefficients(v))
             if e.degree(v) >= 2:
-                out.append(_discriminant(e, v))
+                out.append(_memo(discriminant, e, v))
             for g in A:
                 if g != e:
-                    out.append(_resultant(e, g, v))
+                    out.append(_memo(resultant, e, g, v))
             designated.append([e])
         else:
             contrib, basis = _full_contributions(A, v)
@@ -231,43 +214,47 @@ def ttiprojection(problem: Problem, v: int, level: int | None = None) -> Project
             for f in Ei:
                 for g in Ej:
                     if f != g:
-                        out.append(_resultant(f, g, v))
+                        out.append(_memo(resultant, f, g, v))
     return ProjectionSet(normalize_set(out), v, level)
 
 
-def first_operator(kind: str) -> Callable[..., ProjectionSet]:
-    """The operator ``op(problem, v, level=None)`` for the first elimination
-    of a cascade of this kind: the full projection of the problem's
-    polynomials for "full", the reduced projection for "tti".  Every later
-    elimination uses the full projection.  An unknown kind raises ValueError
-    before any work is done.
+def _check_kind(kind: str) -> None:
+    if kind not in ("full", "tti"):
+        raise ValueError(f"unknown projection kind {kind!r}")
+
+
+def projection_stage(
+    problem: Problem, kind: str, prefix: tuple[int, ...], previous: ProjectionSet | None = None
+) -> ProjectionSet:
+    """The set left after eliminating the variables with indices `prefix`,
+    in that order, from the problem.
+
+    The first elimination uses the full projection of the problem's
+    polynomials for kind "full" and the reduced projection for "tti"; every
+    later one is the full projection of `previous`, the stage for
+    ``prefix[:-1]``.  The stage's level is the number of variables left.
+    An unknown kind raises ValueError before any work is done.
     """
-    # the operators are looked up when called, so rebinding the module
-    # attributes (the benchmark's tracer does) sees every first stage
-    if kind == "full":
-        return lambda problem, v, level=None: mccallum_project(
-            problem.defining_polynomials(), v, level
-        )
-    if kind == "tti":
-        return lambda problem, v, level=None: ttiprojection(problem, v, level)
-    raise ValueError(f"unknown projection kind {kind!r}")
+    _check_kind(kind)
+    if len(prefix) > 1:
+        op, source = mccallum_project, previous.polys
+    elif kind == "full":
+        op, source = mccallum_project, problem.defining_polynomials()
+    else:
+        op, source = ttiprojection, problem
+    return _memo(op, source, prefix[-1], problem.nvars - len(prefix), key=(problem, kind, prefix))
 
 
 def project_cascade(
     problem: Problem, ordering: VariableOrdering, kind: str = "full"
 ) -> ProjectionCascade:
     """Repeatedly project the problem along the ordering until one variable
-    remains: the first elimination uses the operator of `kind` (see
-    `first_operator`), every later one the full projection."""
-    first = first_operator(kind)
-    n = len(ordering)
+    remains, one `projection_stage` per elimination."""
+    _check_kind(kind)
     idx = ordering.indices
     stages: list[ProjectionSet] = []
-    if n >= 2:
-        stages.append(_memo("stages", (problem, kind, n, idx[:1]), first, problem, idx[0], n - 1))
-        for k in range(1, n - 1):
-            stages.append(_memo("stages", (problem, kind, n, idx[:k + 1]), mccallum_project,
-                                stages[-1].polys, idx[k], n - k - 1))
+    for k in range(1, len(idx)):
+        stages.append(projection_stage(problem, kind, idx[:k], stages[-1] if stages else None))
     return ProjectionCascade(ordering, tuple(stages))
 
 
@@ -277,9 +264,9 @@ def _lead_closure(polys: Collection[Polynomial], v: int) -> list[Polynomial]:
     out: list[Polynomial] = []
     for f in polys:
         if f.degree(v) >= 2:
-            out.append(_discriminant(f, v))
+            out.append(_memo(discriminant, f, v))
         out.append(f.lcoeff(v))
-    out.extend(_resultant(f, g, v) for f, g in combinations(polys, 2))
+    out.extend(_memo(resultant, f, g, v) for f, g in combinations(polys, 2))
     return out
 
 
@@ -298,7 +285,7 @@ def newh_set(problem: Problem, v: int) -> frozenset[Polynomial]:
         if not ecs:
             out += _lead_closure(dict.fromkeys(qff.polynomials()), v)
         elif len(ecs) >= 2 and ecs[0] != ecs[1]:
-            out.append(_resultant(ecs[0], ecs[1], v))
+            out.append(_memo(resultant, ecs[0], ecs[1], v))
     return _normalize_raw(out)
 
 

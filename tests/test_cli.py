@@ -266,6 +266,21 @@ def test_sweep_on_empty_directory(tmp_path, capsys):
     assert err == f"error: no problems found under {empty}\n"
 
 
+def test_sweep_names_the_malformed_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_prob(corpus, name="a.prob")
+    bad = write_prob(corpus, "vars: x,y\nqff: x^2 + $y < 0\n", name="b.prob")
+    out = tmp_path / "c.csv"
+    code, _, err = run(
+        capsys, "sweep", "--corpus", str(corpus), "--heuristics", "brown",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert err == f"error: {bad}: line 2, col 12: unexpected character '$'\n"
+    assert not out.exists()
+
+
 def test_eval_reports_exclusions_on_stderr(tmp_path, capsys):
     choices_path = tmp_path / "choices.csv"
     choices_path.write_text(

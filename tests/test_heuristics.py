@@ -421,6 +421,29 @@ def test_suggest_opens_one_workspace_per_call_and_always_drops_it(monkeypatch):
     assert projection._OPEN.get() is None
 
 
+@pytest.mark.parametrize("kind", ["full", "tti"])
+def test_greedy_reuses_the_stages_of_a_search_in_the_same_workspace(kind, monkeypatch):
+    p = gen("21", seed=41)
+    calls = []
+    for name in ("mccallum_project", "ttiprojection"):
+        def counted(*args, op=getattr(projection, name), name=name):
+            calls.append(name)
+            return op(*args)
+
+        monkeypatch.setattr(projection, name, counted)
+    with projection.Workspace():
+        ordering_search(p, "sotd", kind)
+        assert calls
+        calls.clear()
+        r = greedy_sotd_order(p, kind)
+        assert calls == []
+        a = projection.project_cascade(p, p.ordering("x>y>z"), kind)
+        b = projection.project_cascade(p, p.ordering("x>z>y"), kind)
+        assert a.stages[0] is b.stages[0]
+        assert calls == []
+    assert r.choice == greedy_sotd_order(p, kind).choice
+
+
 def test_choices_are_permutations_and_replays_are_identical():
     for label, seed in (("00", 51), ("22", 52)):
         p = gen(label, seed)
