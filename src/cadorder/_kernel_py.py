@@ -1,16 +1,20 @@
 """Sparse term-map kernels in pure Python.
 
 A polynomial with n variables is stored as a dict mapping exponent tuples of
-length n to nonzero integer coefficients.  The functions below are the inner
-loops of every resultant, gcd and projection computation in the package.
-This is the package's only kernel; ``polys`` reaches it as
-``cadorder._backend.kernel`` and calls it through module attributes.
+length n to nonzero coefficients.  The functions below are the inner loops
+of every resultant, gcd and projection computation in the package, and of
+the ``.prob`` parser.  This is the package's only kernel; ``polys`` and
+``probio`` import this module directly and call it through module
+attributes.
+
+``kleading``, ``kadd``, ``ksub``, ``kneg``, ``kscale``, ``kmul``, ``kpow``,
+``kterm_mul`` and ``kderiv`` accept any exact coefficients: the parser runs
+them on ``Fraction`` term maps.  ``kint_content`` and ``kexact_div`` need
+integer coefficients.
 """
 
 from math import gcd as _int_gcd
 from operator import add as _add, sub as _sub
-
-IMPL = "python"
 
 
 def grlex_key(e):
@@ -70,6 +74,19 @@ def kmul(a, b):
                 out[k] = s
             else:
                 del out[k]
+    return out
+
+
+def kpow(a, n, one):
+    """a**n (n >= 0) by square and multiply, about 2*log2(n) products;
+    ``one`` is the unit term map of a's ring."""
+    out = one
+    while n:
+        if n & 1:
+            out = kmul(out, a)
+        n >>= 1
+        if n:
+            a = kmul(a, a)
     return out
 
 

@@ -21,7 +21,7 @@ import random
 from math import gcd as _int_gcd
 from typing import Iterable, Iterator
 
-from cadorder._backend import kernel as _k
+from cadorder import _kernel_py as _k
 
 __all__ = [
     "Polynomial",
@@ -205,14 +205,8 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        one = {(0,) * self.nvars: 1}
+        return Polynomial._raw(self.nvars, _k.kpow(self.terms, n, one))
 
     def derivative(self, v: int) -> "Polynomial":
         return Polynomial._raw(self.nvars, _k.kderiv(self.terms, v))
@@ -311,6 +305,14 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     if q is None:
         raise ExactDivisionError(f"{g} does not divide {f} exactly")
     return Polynomial._raw(f.nvars, q)
+
+
+def _int_content_primitive(f: Polynomial) -> tuple[int, Polynomial]:
+    """Split a nonzero f = c * primitive, c its positive integer content."""
+    c = f.int_content()
+    if c == 1:
+        return c, f
+    return c, Polynomial._raw(f.nvars, {e: x // c for e, x in f.terms.items()})
 
 
 def content_primitive(f: Polynomial, v: int) -> tuple[Polynomial, Polynomial]:
@@ -453,7 +455,8 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
             a, b = b, content_primitive(r, v)[1]
     if a.is_const():
         return sign_normalize(cont)
-    return sign_normalize(cont * content_primitive(a, v)[1])
+    # a is primitive in v: it is pf, pg or a remainder made primitive above.
+    return sign_normalize(cont * a)
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:
@@ -501,11 +504,8 @@ def resultant(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
         m, n = n, m
     if n == 0:
         return (B ** m) * s
-    a, b = A.int_content(), B.int_content()
-    if a > 1:
-        A = exact_div(A, Polynomial.const(A.nvars, a))
-    if b > 1:
-        B = exact_div(B, Polynomial.const(B.nvars, b))
+    a, A = _int_content_primitive(A)
+    b, B = _int_content_primitive(B)
     t = a ** n * b ** m
     one = Polynomial.const(f.nvars, 1)
     gg, h = one, one

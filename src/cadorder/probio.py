@@ -21,6 +21,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
+from cadorder import _kernel_py as _k
 from cadorder.formula import QFF, Constraint, Problem, Relop, Variable
 from cadorder.polys import Polynomial
 
@@ -68,7 +69,8 @@ def _tokenize(text: str, offset: int) -> list[tuple[str, str, int]]:
 
 
 class _ExprParser:
-    """Recursive-descent parser producing Fraction-coefficient term dicts."""
+    """Recursive-descent parser producing Fraction-coefficient term dicts,
+    combined with the kernel's coefficient-generic ring operations."""
 
     def __init__(self, tokens, names: dict[str, int], nvars: int, end_col: int):
         self.tokens = tokens
@@ -94,35 +96,12 @@ class _ExprParser:
     def _const(self, value) -> dict:
         return {(0,) * self.nvars: Fraction(value)} if value else {}
 
-    @staticmethod
-    def _add(a, b, negate=False):
-        out = dict(a)
-        for e, c in b.items():
-            s = out.get(e, 0) + (-c if negate else c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return out
-
-    def _mul(self, a, b):
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                k = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return out
-
     def parse_expr(self) -> dict:
-        tok = self.peek()
         acc = self.parse_term()
         while (tok := self.peek()) is not None and tok[1] in ("+", "-"):
             self.take()
-            acc = self._add(acc, self.parse_term(), negate=tok[1] == "-")
+            op = _k.ksub if tok[1] == "-" else _k.kadd
+            acc = op(acc, self.parse_term())
         return acc
 
     def parse_term(self) -> dict:
@@ -131,14 +110,14 @@ class _ExprParser:
             self.take()
             rhs = self.parse_factor()
             if tok[1] == "*":
-                acc = self._mul(acc, rhs)
+                acc = _k.kmul(acc, rhs)
             else:
                 if any(any(e) for e in rhs):
                     self.fail("division is only allowed by a rational constant", tok)
                 value = rhs.get((0,) * self.nvars, Fraction(0))
                 if value == 0:
                     self.fail("division by zero", tok)
-                acc = {e: c / value for e, c in acc.items()}
+                acc = _k.kscale(acc, 1 / value)
         return acc
 
     def parse_factor(self) -> dict:
@@ -146,9 +125,7 @@ class _ExprParser:
         if tok is not None and tok[1] in ("+", "-"):
             self.take()
             inner = self.parse_factor()
-            if tok[1] == "-":
-                inner = {e: -c for e, c in inner.items()}
-            return inner
+            return _k.kneg(inner) if tok[1] == "-" else inner
         return self.parse_power()
 
     def parse_power(self) -> dict:
@@ -159,16 +136,7 @@ class _ExprParser:
             if exp is None or exp[0] != "num":
                 self.fail("exponent must be a nonnegative integer literal",
                           exp if exp is not None else tok)
-            n = int(exp[1])
-            acc = self._const(1)
-            # square and multiply: about 2*log2(n) products, not n
-            while n:
-                if n & 1:
-                    acc = self._mul(acc, base)
-                n >>= 1
-                if n:
-                    base = self._mul(base, base)
-            base = acc
+            base = _k.kpow(base, int(exp[1]), self._const(1))
         return base
 
     def parse_atom(self) -> dict:
@@ -195,10 +163,8 @@ class _ExprParser:
 
 
 def _clear_denominators(frac_terms: dict, nvars: int) -> Polynomial:
-    if not frac_terms:
-        return Polynomial.zero(nvars)
     scale = lcm(*(c.denominator for c in frac_terms.values()))
-    return Polynomial(nvars, {e: int(c * scale) for e, c in frac_terms.items()})
+    return Polynomial(nvars, _k.kscale(frac_terms, scale))
 
 
 def _parse_constraint(tokens, names, nvars, end_col) -> Constraint:
@@ -226,7 +192,7 @@ def _parse_constraint(tokens, names, nvars, end_col) -> Constraint:
 
     lhs = run(lhs_tokens, tokens[i][2])
     rhs = run(rhs_tokens, end_col)
-    poly = _clear_denominators(_ExprParser._add(lhs, rhs, negate=True), nvars)
+    poly = _clear_denominators(_k.ksub(lhs, rhs), nvars)
     if poly.is_zero():
         raise _LineError(tokens[0][2], "constraint polynomial simplifies to zero")
     return Constraint(poly, relop)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from cadorder.polys import Polynomial, prem, squarefree_part
+from cadorder.polys import Polynomial, _int_content_primitive, prem, squarefree_part
 from cadorder.projection import normalize_set
 
 __all__ = ["sturm_chain", "count_real_roots", "ndrr"]
@@ -29,16 +29,9 @@ def _univariate_in(f: Polynomial) -> int | None:
     return next(iter(vs)) if vs else None
 
 
-def _strip_content(f: Polynomial) -> Polynomial:
-    c = f.int_content()
-    if c > 1:
-        return Polynomial._raw(f.nvars, {e: v // c for e, v in f.terms.items()})
-    return f
-
-
 def _chain(f: Polynomial, v: int) -> list[Polynomial]:
     """Sturm chain of f itself, f non-constant in v, no squarefree pass."""
-    chain = [f, _strip_content(f.derivative(v))]
+    chain = [f, _int_content_primitive(f.derivative(v))[1]]
     while True:
         a, b = chain[-2], chain[-1]
         da, db = a.degree(v), b.degree(v)
@@ -49,7 +42,7 @@ def _chain(f: Polynomial, v: int) -> list[Polynomial]:
         if lb < 0 and (da - db + 1) % 2 == 1:
             # make the implicit multiplier positive
             r = -r
-        chain.append(_strip_content(-r))
+        chain.append(_int_content_primitive(-r)[1])
     return chain
 
 
@@ -85,7 +78,7 @@ def count_real_roots(f: Polynomial) -> int:
     v = _univariate_in(f)
     if v is None:
         return 0
-    chain = _chain(_strip_content(f), v)
+    chain = _chain(_int_content_primitive(f)[1], v)
     at_neg = []
     at_pos = []
     for p in chain:

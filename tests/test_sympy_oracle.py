@@ -4,13 +4,16 @@ A third, independent implementation next to `oracles.py`: resultants and
 discriminants must agree exactly (resultants with the larger degree first,
 see `test_resultant_sign_follows_the_sylvester_determinant`), squarefree
 parts up to sympy's content and sign, and real-root counts with
-`Poly.count_roots` (distinct roots).
+`Poly.count_roots` (distinct roots).  The `.prob` parser is checked against
+sympy's expansion, since it shares the kernel's arithmetic with `Polynomial`.
 """
 
 import random
+from math import lcm
 
 import pytest
 
+from cadorder.formula import Relop
 from cadorder.polys import (
     Polynomial,
     discriminant,
@@ -18,6 +21,7 @@ from cadorder.polys import (
     sign_normalize,
     squarefree_part,
 )
+from cadorder.probio import ProblemFormatError, parse_problem
 from cadorder.realroots import count_real_roots
 
 sympy = pytest.importorskip("sympy")
@@ -114,3 +118,48 @@ def test_count_real_roots_equals_sympy_count_roots(seed):
         f = rand_poly(rng, 1, max_deg=5, terms=5, bound=9)
         want = sympy.Poly(to_sympy(f), SYMS[0]).count_roots()
         assert count_real_roots(f) == want, f
+
+
+def rand_expr(rng, depth):
+    """A random expression tree as (.prob text, sympy expression) over x, y, z."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.6:
+            i = rng.randrange(3)
+            return "xyz"[i], SYMS[i]
+        k = rng.randint(0, 9)
+        return str(k), sympy.Integer(k)
+    op = rng.choice("+-*^n/")
+    # a power's base is at most one operation deep, so degrees stay small
+    a, ea = rand_expr(rng, depth - 1 if op != "^" else min(depth - 1, 1))
+    if op == "^":
+        k = rng.randint(0, 4)
+        return f"({a})^{k}", ea**k
+    if op == "n":
+        return f"-({a})", -ea
+    if op == "/":
+        num, den = rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)
+        return f"({a})/({num}/{den})", ea / sympy.Rational(num, den)
+    b, eb = rand_expr(rng, depth - 1)
+    return f"({a}){op}({b})", {"+": ea + eb, "-": ea - eb, "*": ea * eb}[op]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parser_equals_sympy_expansion(seed):
+    rng = random.Random(300 + seed)
+    for _ in range(25):
+        lhs, elhs = rand_expr(rng, 3)
+        rhs, erhs = rand_expr(rng, 3)
+        if rng.random() < 0.1:  # both sides equal: the constraint is zero
+            rhs, erhs = f"({lhs})*1", elhs
+        text = f"vars: x,y,z\nqff: {lhs} < {rhs}\n"
+        diff = sympy.expand(elhs - erhs)
+        if diff == 0:
+            with pytest.raises(ProblemFormatError):
+                parse_problem(text)
+            continue
+        terms = sympy.Poly(diff, *SYMS).terms()
+        scale = lcm(*(int(c.q) for _, c in terms))
+        want = Polynomial(3, {e: int(c * scale) for e, c in terms})
+        got = parse_problem(text).qffs[0].constraints[0]
+        assert got.poly == sign_normalize(want), text
+        assert got.relop is (Relop.LT if got.poly == want else Relop.GT), text
