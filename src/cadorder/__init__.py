@@ -35,7 +35,6 @@ from cadorder.polys import (
 )
 from cadorder.probio import ProblemFormatError, parse_problem, print_problem
 from cadorder.projection import (
-    ProjectionCascade,
     ProjectionSet,
     mccallum_project,
     newh_omitted_set,
@@ -58,7 +57,6 @@ __all__ = [
     "Polynomial",
     "Problem",
     "ProblemFormatError",
-    "ProjectionCascade",
     "ProjectionSet",
     "QFF",
     "Relop",

@@ -224,12 +224,12 @@ def _cmd_measure(args) -> int:
     print(f"input_polys: {len(inputs)}")
     print(f"input_sotd: {sotd(inputs)}")
     for kind in ("full", "tti"):
-        cascade = project_cascade(problem, ordering, kind)
-        print(f"{kind}_cascade_sotd: {MEASURES['sotd'](problem, cascade)}")
-        print(f"{kind}_final_ndrr: {MEASURES['ndrr'](problem, cascade)}")
-        for st in cascade.stages:
+        stages = project_cascade(problem, ordering, kind)
+        print(f"{kind}_cascade_sotd: {MEASURES['sotd'](problem, stages)}")
+        print(f"{kind}_final_ndrr: {MEASURES['ndrr'](problem, stages)}")
+        for k, st in enumerate(stages):
             print(
-                f"{kind}_stage level={st.level} "
+                f"{kind}_stage level={problem.nvars - k - 1} "
                 f"eliminated={problem.variables[st.eliminated].name} "
                 f"size={len(st.polys)} sotd={sotd(st.polys)}"
             )

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, NamedTuple
 from cadorder.formula import Problem, Variable, VariableOrdering
 from cadorder.polys import Polynomial
 from cadorder.projection import (
-    ProjectionCascade,
     ProjectionSet,
     Workspace,
     _check_kind,
@@ -184,19 +183,18 @@ def _all_orderings(problem: Problem) -> list[VariableOrdering]:
     ]
 
 
-def _measure_sotd(problem: Problem, cascade: ProjectionCascade) -> int:
-    return sotd(problem.defining_polynomials(), *(st.polys for st in cascade.stages))
+def _measure_sotd(problem: Problem, stages: tuple[ProjectionSet, ...]) -> int:
+    return sotd(problem.defining_polynomials(), *(st.polys for st in stages))
 
 
-def _measure_ndrr(problem: Problem, cascade: ProjectionCascade) -> int:
-    if cascade.stages:
-        return ndrr(cascade.stages[-1].polys)
-    # single-variable problem: the input already is the univariate stage
-    return ndrr(problem.defining_polynomials())
+def _measure_ndrr(problem: Problem, stages: tuple[ProjectionSet, ...]) -> int:
+    # a single-variable problem has no stages: its input is the univariate one
+    return ndrr(stages[-1].polys if stages else problem.defining_polynomials())
 
 
-# The cascade measures the enumeration heuristics minimize, by name.
-MEASURES: dict[str, Callable[[Problem, ProjectionCascade], int]] = {
+# The cascade measures the enumeration heuristics minimize, by name; each
+# takes the problem and the stages of one cascade (`project_cascade`).
+MEASURES: dict[str, Callable[[Problem, tuple[ProjectionSet, ...]], int]] = {
     "sotd": _measure_sotd,
     "ndrr": _measure_ndrr,
 }
@@ -221,7 +219,9 @@ def ordering_search(
     With a tiebreak, orderings that tie on the measure are compared by the
     tiebreak measure, computed for those orderings only.  Remaining ties go
     to the candidate that enumerates first, i.e. lexicographically by
-    declaration index sequence.
+    declaration index sequence.  The tiebreak re-reads the tied cascades
+    through `project_cascade`; inside the workspace `suggest` opens, that
+    returns the stages the first pass built.
     """
     hid = _SEARCHES.get((measure, tiebreak, kind))
     if hid is None:
@@ -230,26 +230,20 @@ def ordering_search(
             f"over {kind!r} cascades"
         )
     measure_fn = MEASURES[measure]
-    candidates: dict[VariableOrdering, dict[str, int]] = {}
-    # cascades of the orderings tied at the best value so far, for the tiebreak
-    tied_cascades: dict[VariableOrdering, ProjectionCascade] = {}
-    best_val: int | None = None
-    for ordering in _all_orderings(problem):
-        cascade = project_cascade(problem, ordering, kind)
-        val = measure_fn(problem, cascade)
-        candidates[ordering] = {measure: val}
-        if best_val is None or val < best_val:
-            best_val = val
-            tied_cascades.clear()
-        if tiebreak and val == best_val:
-            tied_cascades[ordering] = cascade
+    candidates: dict[VariableOrdering, dict[str, int]] = {
+        o: {measure: measure_fn(problem, project_cascade(problem, o, kind))}
+        for o in _all_orderings(problem)
+    }
+    best_val = min(vals[measure] for vals in candidates.values())
     tied = [o for o, vals in candidates.items() if vals[measure] == best_val]
     tiebreaks: tuple[str, ...] = ()
     if tiebreak and len(tied) > 1:
         tiebreaks = (tiebreak,)
         tiebreak_fn = MEASURES[tiebreak]
         for ordering in tied:
-            candidates[ordering][tiebreak] = tiebreak_fn(problem, tied_cascades[ordering])
+            candidates[ordering][tiebreak] = tiebreak_fn(
+                problem, project_cascade(problem, ordering, kind)
+            )
         best_tb = min(candidates[o][tiebreak] for o in tied)
         tied = [o for o in tied if candidates[o][tiebreak] == best_tb]
     fallback = len(tied) > 1

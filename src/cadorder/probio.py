@@ -226,18 +226,15 @@ def parse_problem(text: str) -> Problem:
                 if seen_vars:
                     raise _LineError(m.start(2) + 1, "duplicate vars line")
                 seen_vars = True
+                col = rest_offset + 1  # where the current chunk starts
                 for chunk in rest.split(","):
                     name = chunk.strip()
+                    at = col + len(chunk) - len(chunk.lstrip())
+                    col += len(chunk) + 1
                     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name or ""):
-                        raise _LineError(
-                            rest_offset + rest.find(chunk) + 1,
-                            f"invalid variable name {name!r}",
-                        )
+                        raise _LineError(at, f"invalid variable name {name!r}")
                     if name in names:
-                        raise _LineError(
-                            rest_offset + rest.find(chunk) + 1,
-                            f"duplicate variable '{name}'",
-                        )
+                        raise _LineError(at, f"duplicate variable '{name}'")
                     names[name] = len(variables)
                     variables.append(Variable(name, len(variables)))
             elif keyword == "qff":
@@ -247,16 +244,19 @@ def parse_problem(text: str) -> Problem:
                 if not tokens:
                     raise _LineError(rest_offset + 1, "empty QFF")
                 groups: list[list] = [[]]
+                closers: list[int] = []  # column of the comma ending each group
                 for tok in tokens:
                     if tok[1] == "," and tok[0] == "op":
+                        closers.append(tok[2])
                         groups.append([])
                     else:
                         groups[-1].append(tok)
                 end_col = rest_offset + len(rest) + 1
+                closers.append(end_col)
                 constraints = []
                 for gi, group in enumerate(groups):
                     if not group:
-                        raise _LineError(end_col, "empty constraint")
+                        raise _LineError(closers[gi], "empty constraint")
                     group_end = (
                         groups[gi + 1][0][2] - 1 if gi + 1 < len(groups) and groups[gi + 1]
                         else end_col

@@ -15,7 +15,8 @@ because only their degrees are measured.
 This module is the one place that builds a cascade stage
 (`projection_stage`, called by the cascades and the greedy search), the
 closure the special sets are built from, and the canonical form of a
-polynomial set (`normalize_set`).
+polynomial set (`normalize_set`).  A cascade is the tuple of its stages,
+greatest variable first; stage k leaves ``nvars - k - 1`` variables.
 
 It is also the one place where projection work is shared.  A `Workspace`
 opened with ``with Workspace():`` is one dict that memoizes, for the code
@@ -23,14 +24,13 @@ that runs inside the block, squarefree parts, resultants and discriminants
 under ``(function, *arguments)`` (resultant arguments in order: swapping f
 and g can flip the sign) and stages under ``(problem, kind, ordered prefix
 of eliminated variable indices)``, so a greedy step and a cascade with the
-same prefix share one stage, ``level`` set.  A squarefree part is also
-stored under itself.  `heuristics.suggest` opens one workspace per
-heuristic call and drops it when the heuristic returns or raises, so
-nothing is shared between heuristics or problems.  With no workspace open,
-nothing is stored.  On a miss the lookup calls `squarefree_part`,
-`resultant`, `discriminant`, `mccallum_project` and `ttiprojection` as
-module attributes, so a wrapper bound over them sees exactly the work that
-was done.
+same prefix share one stage.  A squarefree part is also stored under
+itself.  `heuristics.suggest` opens one workspace per heuristic call and
+drops it when the heuristic returns or raises, so nothing is shared between
+heuristics or problems.  With no workspace open, nothing is stored.  On a
+miss the lookup calls `squarefree_part`, `resultant`, `discriminant`,
+`mccallum_project` and `ttiprojection` as module attributes, so a wrapper
+bound over them sees exactly the work that was done.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from cadorder.polys import (
 __all__ = [
     "Workspace",
     "ProjectionSet",
-    "ProjectionCascade",
     "normalize_set",
     "mccallum_project",
     "ttiprojection",
@@ -68,14 +67,11 @@ __all__ = [
 class ProjectionSet:
     """Result of eliminating one variable.
 
-    ``level`` is the number of variables still in play after the elimination
-    when the set is a stage (`projection_stage`, whether a cascade or the
-    greedy search built it); standalone projections leave it as None.
+    As stage k (from 0) of a cascade it leaves ``nvars - k - 1`` variables.
     """
 
     polys: frozenset[Polynomial]
     eliminated: int
-    level: int | None = None
 
     def __post_init__(self):
         for f in self.polys:
@@ -83,14 +79,6 @@ class ProjectionSet:
                 raise AssertionError(
                     f"projection output {f} still mentions the eliminated variable"
                 )
-
-
-@dataclass(frozen=True)
-class ProjectionCascade:
-    """Stages of repeated projection along an ordering, greatest first."""
-
-    ordering: VariableOrdering
-    stages: tuple[ProjectionSet, ...]
 
 
 class Workspace:
@@ -174,12 +162,12 @@ def _full_contributions(
     return out, basis
 
 
-def mccallum_project(A: Iterable[Polynomial], v: int, level: int | None = None) -> ProjectionSet:
+def mccallum_project(A: Iterable[Polynomial], v: int) -> ProjectionSet:
     """Full projection of the set A eliminating variable v."""
-    return ProjectionSet(normalize_set(_full_contributions(A, v)[0]), v, level)
+    return ProjectionSet(normalize_set(_full_contributions(A, v)[0]), v)
 
 
-def ttiprojection(problem: Problem, v: int, level: int | None = None) -> ProjectionSet:
+def ttiprojection(problem: Problem, v: int) -> ProjectionSet:
     """Reduced projection of a problem eliminating variable v.
 
     QFFs with an equational constraint contribute the coefficients and
@@ -215,7 +203,7 @@ def ttiprojection(problem: Problem, v: int, level: int | None = None) -> Project
                 for g in Ej:
                     if f != g:
                         out.append(_memo(resultant, f, g, v))
-    return ProjectionSet(normalize_set(out), v, level)
+    return ProjectionSet(normalize_set(out), v)
 
 
 def _check_kind(kind: str) -> None:
@@ -232,8 +220,8 @@ def projection_stage(
     The first elimination uses the full projection of the problem's
     polynomials for kind "full" and the reduced projection for "tti"; every
     later one is the full projection of `previous`, the stage for
-    ``prefix[:-1]``.  The stage's level is the number of variables left.
-    An unknown kind raises ValueError before any work is done.
+    ``prefix[:-1]``.  An unknown kind raises ValueError before any work is
+    done.
     """
     _check_kind(kind)
     if len(prefix) > 1:
@@ -242,20 +230,22 @@ def projection_stage(
         op, source = mccallum_project, problem.defining_polynomials()
     else:
         op, source = ttiprojection, problem
-    return _memo(op, source, prefix[-1], problem.nvars - len(prefix), key=(problem, kind, prefix))
+    return _memo(op, source, prefix[-1], key=(problem, kind, prefix))
 
 
 def project_cascade(
     problem: Problem, ordering: VariableOrdering, kind: str = "full"
-) -> ProjectionCascade:
-    """Repeatedly project the problem along the ordering until one variable
-    remains, one `projection_stage` per elimination."""
+) -> tuple[ProjectionSet, ...]:
+    """The stages of repeatedly projecting the problem along the ordering,
+    greatest variable first, until one variable remains: one
+    `projection_stage` per elimination, so stage k leaves ``nvars - k - 1``
+    variables."""
     _check_kind(kind)
     idx = ordering.indices
     stages: list[ProjectionSet] = []
     for k in range(1, len(idx)):
         stages.append(projection_stage(problem, kind, idx[:k], stages[-1] if stages else None))
-    return ProjectionCascade(ordering, tuple(stages))
+    return tuple(stages)
 
 
 def _lead_closure(polys: Collection[Polynomial], v: int) -> list[Polynomial]:

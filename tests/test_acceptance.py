@@ -135,17 +135,17 @@ def test_criterion_03_projection_laws_hold_over_fifty_problems():
         ordering = p.ordering(all_orderings[i % 6])
         for kind in ("full", "tti"):
             cascade = project_cascade(p, ordering, kind)
-            for stage in cascade.stages:
-                allowed = {v.index for v in ordering.variables[-stage.level:]}
+            for k, stage in enumerate(cascade):
+                allowed = {v.index for v in ordering.variables[k + 1:]}
                 for f in stage.polys:
                     assert f.variables() <= allowed
                 assert normalize_set(stage.polys) == frozenset(stage.polys)
-            assert all(len(f.variables()) <= 1 for f in cascade.stages[-1].polys)
+            assert all(len(f.variables()) <= 1 for f in cascade[-1].polys)
 
         ec_free = strip_relops(p)
         full = project_cascade(ec_free, ordering, "full")
         tti = project_cascade(ec_free, ordering, "tti")
-        assert [s.polys for s in full.stages] == [s.polys for s in tti.stages]
+        assert [s.polys for s in full] == [s.polys for s in tti]
 
         inputs = p.defining_polynomials()
         once = normalize_set(inputs)

@@ -439,9 +439,17 @@ def test_greedy_reuses_the_stages_of_a_search_in_the_same_workspace(kind, monkey
         assert calls == []
         a = projection.project_cascade(p, p.ordering("x>y>z"), kind)
         b = projection.project_cascade(p, p.ordering("x>z>y"), kind)
-        assert a.stages[0] is b.stages[0]
+        assert a[0] is b[0]
         assert calls == []
     assert r.choice == greedy_sotd_order(p, kind).choice
+    if kind == "full":  # only full cascades have a tiebreak heuristic
+        p = gen("20", seed=2)
+        with projection.Workspace():
+            ordering_search(p, "ndrr")
+            calls.clear()
+            r = ordering_search(p, "ndrr", tiebreak="sotd")
+        assert r.tiebreaks_used == ("sotd",)
+        assert calls == []
 
 
 def test_choices_are_permutations_and_replays_are_identical():

@@ -98,6 +98,20 @@ def test_error_positions_and_messages():
     assert len(e) == 1 and e[0][0] == 2 and "undeclared" in e[0][2] and "y" in e[0][2]
     e = errs("vars: x\nqff: x = 0 = 0\n")
     assert len(e) == 1 and e[0][0] == 2
+    # a repeated name is reported where it repeats, not at its first use
+    assert errs("vars: x, y, x\nqff: x = 0\n") == [(1, 13, "duplicate variable 'x'")]
+    assert errs("vars: x,x\nqff: x = 0\n") == [(1, 9, "duplicate variable 'x'")]
+    # an empty constraint is reported at the comma that closes it; a trailing
+    # comma leaves it open to the end of the line
+    assert errs("vars: x\nqff: , x > 0\n") == [(2, 6, "empty constraint")]
+    assert errs("vars: x\nqff: x > 0, , x < 1\n") == [(2, 13, "empty constraint")]
+    assert errs("vars: x\nqff: x > 0,\n") == [(2, 12, "empty constraint")]
+    # with no valid variable the constraint's polynomial cannot be built; that
+    # ValueError is reported on its line, never raised bare
+    assert errs("vars: 1x\nqff: 2 > 0\n") == [
+        (1, 7, "invalid variable name '1x'"),
+        (2, 6, "a polynomial context needs at least one variable"),
+    ]
 
 
 def test_one_error_per_line_all_lines_reported():

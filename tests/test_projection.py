@@ -41,7 +41,7 @@ def corpus(seed, labels=("00", "10", "20", "11", "21", "22"), **kw):
 def test_mccallum_circle():
     out = mccallum_project([X**2 + Y**2 - 1], 0)
     assert out.polys == {Y**2 - 1}
-    assert out.eliminated == 0 and out.level is None
+    assert out.eliminated == 0
 
 
 def test_mccallum_saddle():
@@ -124,9 +124,7 @@ def test_cascade_two_variables_has_one_stage():
     vars2 = (Variable("x", 0), Variable("y", 1))
     x, y = Polynomial.var(2, 0), Polynomial.var(2, 1)
     p = make_problem([(x**2 + y**2 - 1, Relop.LT)], variables=vars2)
-    c = project_cascade(p, p.ordering("x>y"))
-    assert len(c.stages) == 1
-    assert c.stages[0].level == 1
+    assert len(project_cascade(p, p.ordering("x>y"))) == 1
 
 
 def test_cascade_hand_chained():
@@ -135,14 +133,12 @@ def test_cascade_hand_chained():
     # eliminating z turns x*y - z into its trailing coefficient x*y while the
     # circle passes through as a z-free content; eliminating y then reduces
     # x*y to its primitive part y, whose resultant with the circle is x^2 - 1
-    assert [s.polys for s in c.stages] == [
+    assert [s.polys for s in c] == [
         {X**2 + Y**2 - 1, X * Y},
         {X**2 - 1, X},
     ]
-    assert [s.eliminated for s in c.stages] == [2, 1]
-    assert [s.level for s in c.stages] == [2, 1]
-    assert c.ordering.names == ("z", "y", "x")
-    assert [s.polys for s in c.stages] == naive_cascade(p, p.ordering("z>y>x"), "full")
+    assert [s.eliminated for s in c] == [2, 1]
+    assert [s.polys for s in c] == naive_cascade(p, p.ordering("z>y>x"), "full")
 
 
 @pytest.mark.parametrize("nvars", [1, 3])
@@ -161,7 +157,7 @@ def test_tti_cascade_equals_full_cascade_without_ecs():
         for spec in ("x>y>z", "z>x>y"):
             full = project_cascade(q, q.ordering(spec), kind="full")
             tti = project_cascade(q, q.ordering(spec), kind="tti")
-            assert [s.polys for s in full.stages] == [s.polys for s in tti.stages]
+            assert [s.polys for s in full] == [s.polys for s in tti]
 
 
 def test_cascade_stage_variable_containment():
@@ -170,16 +166,14 @@ def test_cascade_stage_variable_containment():
             ordering = q.ordering(spec)
             for kind in ("full", "tti"):
                 c = project_cascade(q, ordering, kind=kind)
-                assert len(c.stages) == q.nvars - 1
-                for stage in c.stages:
-                    allowed = {v.index for v in ordering.variables[-stage.level:]}
+                assert len(c) == q.nvars - 1
+                for k, stage in enumerate(c):
+                    allowed = {v.index for v in ordering.variables[k + 1:]}
                     for f in stage.polys:
                         assert f.variables() <= allowed
-                if c.stages:
-                    final = c.stages[-1]
-                    assert final.level == 1
+                if c:
                     lowest = ordering.variables[-1].index
-                    for f in final.polys:
+                    for f in c[-1].polys:
                         assert f.variables() <= {lowest}
 
 
