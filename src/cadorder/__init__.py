@@ -35,7 +35,6 @@ from cadorder.polys import (
 )
 from cadorder.probio import ProblemFormatError, parse_problem, print_problem
 from cadorder.projection import (
-    ProjectionSet,
     mccallum_project,
     newh_omitted_set,
     newh_set,
@@ -57,7 +56,6 @@ __all__ = [
     "Polynomial",
     "Problem",
     "ProblemFormatError",
-    "ProjectionSet",
     "QFF",
     "Relop",
     "Variable",

@@ -125,7 +125,8 @@ def _cmd_gen(args) -> int:
 # -- sweep ----------------------------------------------------------------------
 
 
-def _parse_heuristics(spec: str, parser: argparse.ArgumentParser) -> list[HeuristicId]:
+def _parse_heuristics(spec: str) -> list[HeuristicId]:
+    """argparse type of --heuristics: comma-separated ids, or 'all'."""
     if spec.strip() == "all":
         return list(HeuristicId)
     out = []
@@ -136,11 +137,10 @@ def _parse_heuristics(spec: str, parser: argparse.ArgumentParser) -> list[Heuris
         try:
             out.append(HeuristicId(token))
         except ValueError:
-            parser.error(
-                f"unknown heuristic '{token}' (known: {', '.join(_ALL_IDS)}, all)"
-            )
+            raise argparse.ArgumentTypeError(
+                f"unknown heuristic '{token}' (known: {', '.join(_ALL_IDS)}, all)") from None
     if not out:
-        parser.error("no heuristics given")
+        raise argparse.ArgumentTypeError("no heuristics given")
     return out
 
 
@@ -167,10 +167,9 @@ def _load_corpus(corpus_dir: str) -> list[tuple[str, Problem]]:
     return corpus
 
 
-def _cmd_sweep(args, parser) -> int:
-    heuristics = _parse_heuristics(args.heuristics, parser)
+def _cmd_sweep(args) -> int:
     corpus = _load_corpus(args.corpus)
-    rows = run_sweep(corpus, heuristics)
+    rows = run_sweep(corpus, args.heuristics)
     write_choices(rows, args.out)
     failures = [r for r in rows if r.status != "ok"]
     print(f"wrote {len(rows)} choices to {args.out}"
@@ -227,11 +226,11 @@ def _cmd_measure(args) -> int:
         stages = project_cascade(problem, ordering, kind)
         print(f"{kind}_cascade_sotd: {MEASURES['sotd'](problem, stages)}")
         print(f"{kind}_final_ndrr: {MEASURES['ndrr'](problem, stages)}")
-        for k, st in enumerate(stages):
+        for k, stage in enumerate(stages):
             print(
                 f"{kind}_stage level={problem.nvars - k - 1} "
-                f"eliminated={problem.variables[st.eliminated].name} "
-                f"size={len(st.polys)} sotd={sotd(st.polys)}"
+                f"eliminated={ordering.variables[k].name} "
+                f"size={len(stage)} sotd={sotd(stage)}"
             )
     return 0
 
@@ -244,12 +243,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"cadorder {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("suggest", help="recommend a variable ordering", parents=[])
+    p = sub.add_parser("suggest", help="recommend a variable ordering")
     p.add_argument("file", help="input .prob file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--heuristic", choices=_ALL_IDS, help="heuristic to run")
     group.add_argument("--all", action="store_true", help="run every heuristic")
-    p.set_defaults(fn=lambda a: _cmd_suggest(a))
+    p.set_defaults(fn=_cmd_suggest)
 
     p = sub.add_parser("gen", help="generate a random problem corpus")
     p.add_argument("--types", required=True, help="comma-separated system types, e.g. 22,12,00")
@@ -261,14 +260,14 @@ def build_parser() -> _Parser:
     p.add_argument("--terms", type=int, default=4, help="monomials per polynomial (default 4)")
     p.add_argument("--coeff-bound", type=int, default=20,
                    help="max coefficient magnitude (default 20)")
-    p.set_defaults(fn=lambda a: _cmd_gen(a))
+    p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("sweep", help="run heuristics over a corpus")
     p.add_argument("--corpus", required=True, help="directory of .prob files")
-    p.add_argument("--heuristics", required=True,
+    p.add_argument("--heuristics", required=True, type=_parse_heuristics,
                    help="comma-separated heuristic ids, or 'all'")
     p.add_argument("--out", required=True, help="choices CSV to write")
-    p.set_defaults(fn=lambda a, _p=parser: _cmd_sweep(a, _p))
+    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("eval", help="compute savings from choices and costs")
     p.add_argument("--costs", required=True, help="costs CSV (problem_id,ordering,cells,time_s)")
@@ -277,12 +276,12 @@ def build_parser() -> _Parser:
     p.add_argument("--aggregate-out", help="aggregate CSV (default: aggregate.csv next to --out)")
     p.add_argument("--summary-out", help="cost summary CSV (default: summary.csv next to --out)")
     p.add_argument("--manifest", help="manifest.csv mapping problem ids to group labels")
-    p.set_defaults(fn=lambda a: _cmd_eval(a))
+    p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("measure", help="print cascade measures for one ordering")
     p.add_argument("file", help="input .prob file")
     p.add_argument("--ordering", required=True, help="ordering, greatest first, e.g. 'z>y>x'")
-    p.set_defaults(fn=lambda a: _cmd_measure(a))
+    p.set_defaults(fn=_cmd_measure)
 
     return parser
 

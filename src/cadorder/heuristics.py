@@ -28,7 +28,6 @@ from typing import Callable, Iterable, NamedTuple
 from cadorder.formula import Problem, Variable, VariableOrdering
 from cadorder.polys import Polynomial
 from cadorder.projection import (
-    ProjectionSet,
     Workspace,
     _check_kind,
     newh_omitted_set,
@@ -183,18 +182,18 @@ def _all_orderings(problem: Problem) -> list[VariableOrdering]:
     ]
 
 
-def _measure_sotd(problem: Problem, stages: tuple[ProjectionSet, ...]) -> int:
-    return sotd(problem.defining_polynomials(), *(st.polys for st in stages))
+def _measure_sotd(problem: Problem, stages: tuple[frozenset[Polynomial], ...]) -> int:
+    return sotd(problem.defining_polynomials(), *stages)
 
 
-def _measure_ndrr(problem: Problem, stages: tuple[ProjectionSet, ...]) -> int:
+def _measure_ndrr(problem: Problem, stages: tuple[frozenset[Polynomial], ...]) -> int:
     # a single-variable problem has no stages: its input is the univariate one
-    return ndrr(stages[-1].polys if stages else problem.defining_polynomials())
+    return ndrr(stages[-1] if stages else problem.defining_polynomials())
 
 
 # The cascade measures the enumeration heuristics minimize, by name; each
 # takes the problem and the stages of one cascade (`project_cascade`).
-MEASURES: dict[str, Callable[[Problem, tuple[ProjectionSet, ...]], int]] = {
+MEASURES: dict[str, Callable[[Problem, tuple[frozenset[Polynomial], ...]], int]] = {
     "sotd": _measure_sotd,
     "ndrr": _measure_ndrr,
 }
@@ -265,26 +264,24 @@ def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
     """Allocate the next-greatest variable as the one whose single projection
     step produces the set with the smallest sum of total degrees.  Each step
     is the `projection_stage` of the chosen prefix plus one candidate, so it
-    is the stage an enumerated cascade with that prefix holds."""
+    is the stage an enumerated cascade with that prefix holds; with no
+    workspace open, each candidate rebuilds the chosen prefix's stages."""
     _check_kind(kind)
     remaining = list(problem.variables)
     chosen: list[Variable] = []
-    current: ProjectionSet | None = None
     fallback = False
     notes: list[str] = []
     while len(remaining) > 1:
         best_var = None
         best_val = None
-        best_stage = None
         tied = 0
         step_vals = []
         prefix = tuple(v.index for v in chosen)
         for v in remaining:
-            ps = projection_stage(problem, kind, prefix + (v.index,), current)
-            val = sotd(ps.polys)
+            val = sotd(projection_stage(problem, kind, prefix + (v.index,)))
             step_vals.append(f"{v.name}:{val}")
             if best_val is None or val < best_val:
-                best_var, best_val, best_stage, tied = v, val, ps, 1
+                best_var, best_val, tied = v, val, 1
             elif val == best_val:
                 tied += 1
         if tied > 1:
@@ -292,7 +289,6 @@ def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
         notes.append(f"step {len(chosen) + 1}: " + " ".join(step_vals))
         chosen.append(best_var)
         remaining.remove(best_var)
-        current = best_stage
     chosen.extend(remaining)
     return HeuristicReport(
         _GREEDY[kind],

@@ -41,6 +41,11 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
 
 
+def _check_index(index: int, nvars: int) -> None:
+    if not 0 <= index < nvars:  # a negative one would slice exponent tuples wrongly
+        raise ValueError(f"variable index {index} out of range for {nvars} slots")
+
+
 class Polynomial:
     """Immutable sparse polynomial in ``nvars`` integer-indexed variables."""
 
@@ -85,8 +90,7 @@ class Polynomial:
 
     @classmethod
     def var(cls, nvars: int, index: int, power: int = 1) -> "Polynomial":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for {nvars} slots")
+        _check_index(index, nvars)
         if power < 0:
             raise ValueError("negative power")
         if power == 0:
@@ -209,6 +213,7 @@ class Polynomial:
         return Polynomial._raw(self.nvars, _k.kpow(self.terms, n, one))
 
     def derivative(self, v: int) -> "Polynomial":
+        _check_index(v, self.nvars)
         return Polynomial._raw(self.nvars, _k.kderiv(self.terms, v))
 
     def _shifted(self, v: int, power: int) -> "Polynomial":
@@ -223,6 +228,7 @@ class Polynomial:
 
     def coefficient(self, v: int, power: int) -> "Polynomial":
         """Coefficient of v**power, a polynomial free of v."""
+        _check_index(v, self.nvars)
         out = {}
         for e, c in self.terms.items():
             if e[v] == power:
@@ -231,6 +237,7 @@ class Polynomial:
 
     def coefficients(self, v: int) -> list["Polynomial"]:
         """Coefficients of v**d .. v**0 (length degree+1, empty for zero)."""
+        _check_index(v, self.nvars)
         d = self.degree(v)
         if d < 0:
             return []

@@ -12,11 +12,12 @@ and deduplicated.  The special sets used by the equational-constraint
 ordering heuristic keep raw (non-primitive, non-squarefree) polynomials
 because only their degrees are measured.
 
-This module is the one place that builds a cascade stage
-(`projection_stage`, called by the cascades and the greedy search), the
+This module is the one place that builds a cascade stage (`_stages`,
+behind `project_cascade` and the greedy search's `projection_stage`), the
 closure the special sets are built from, and the canonical form of a
 polynomial set (`normalize_set`).  A cascade is the tuple of its stages,
-greatest variable first; stage k leaves ``nvars - k - 1`` variables.
+each a frozenset of polynomials, greatest variable first; stage k leaves
+``nvars - k - 1`` variables.  A stage is computed from its key alone.
 
 It is also the one place where projection work is shared.  A `Workspace`
 opened with ``with Workspace():`` is one dict that memoizes, for the code
@@ -36,7 +37,6 @@ bound over them sees exactly the work that was done.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Collection, Hashable, Iterable
 
@@ -52,7 +52,6 @@ from cadorder.polys import (
 
 __all__ = [
     "Workspace",
-    "ProjectionSet",
     "normalize_set",
     "mccallum_project",
     "ttiprojection",
@@ -61,24 +60,6 @@ __all__ = [
     "newh_set",
     "newh_omitted_set",
 ]
-
-
-@dataclass(frozen=True)
-class ProjectionSet:
-    """Result of eliminating one variable.
-
-    As stage k (from 0) of a cascade it leaves ``nvars - k - 1`` variables.
-    """
-
-    polys: frozenset[Polynomial]
-    eliminated: int
-
-    def __post_init__(self):
-        for f in self.polys:
-            if self.eliminated in f.variables():
-                raise AssertionError(
-                    f"projection output {f} still mentions the eliminated variable"
-                )
 
 
 class Workspace:
@@ -162,12 +143,21 @@ def _full_contributions(
     return out, basis
 
 
-def mccallum_project(A: Iterable[Polynomial], v: int) -> ProjectionSet:
+def _eliminated(out: Iterable[Polynomial], v: int) -> frozenset[Polynomial]:
+    """The normalized projection output, checked to be free of v."""
+    polys = normalize_set(out)
+    for f in polys:
+        if v in f.variables():
+            raise AssertionError(f"projection output {f} still mentions the eliminated variable")
+    return polys
+
+
+def mccallum_project(A: Iterable[Polynomial], v: int) -> frozenset[Polynomial]:
     """Full projection of the set A eliminating variable v."""
-    return ProjectionSet(normalize_set(_full_contributions(A, v)[0]), v)
+    return _eliminated(_full_contributions(A, v)[0], v)
 
 
-def ttiprojection(problem: Problem, v: int) -> ProjectionSet:
+def ttiprojection(problem: Problem, v: int) -> frozenset[Polynomial]:
     """Reduced projection of a problem eliminating variable v.
 
     QFFs with an equational constraint contribute the coefficients and
@@ -203,7 +193,7 @@ def ttiprojection(problem: Problem, v: int) -> ProjectionSet:
                 for g in Ej:
                     if f != g:
                         out.append(_memo(resultant, f, g, v))
-    return ProjectionSet(normalize_set(out), v)
+    return _eliminated(out, v)
 
 
 def _check_kind(kind: str) -> None:
@@ -211,41 +201,46 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown projection kind {kind!r}")
 
 
-def projection_stage(
-    problem: Problem, kind: str, prefix: tuple[int, ...], previous: ProjectionSet | None = None
-) -> ProjectionSet:
-    """The set left after eliminating the variables with indices `prefix`,
-    in that order, from the problem.
-
-    The first elimination uses the full projection of the problem's
-    polynomials for kind "full" and the reduced projection for "tti"; every
-    later one is the full projection of `previous`, the stage for
-    ``prefix[:-1]``.  An unknown kind raises ValueError before any work is
-    done.
-    """
+def _stages(
+    problem: Problem, kind: str, prefix: tuple[int, ...]
+) -> tuple[frozenset[Polynomial], ...]:
+    """The stage for each leading part ``prefix[:k + 1]`` of `prefix`,
+    memoized under ``(problem, kind, prefix[:k + 1])``.  Stage 0 is the full
+    projection of the problem's polynomials for kind "full" and the reduced
+    projection for "tti"; every later stage is the full projection of the one
+    before.  A bad kind or prefix raises ValueError before any work is done."""
     _check_kind(kind)
-    if len(prefix) > 1:
-        op, source = mccallum_project, previous.polys
-    elif kind == "full":
-        op, source = mccallum_project, problem.defining_polynomials()
-    else:
-        op, source = ttiprojection, problem
-    return _memo(op, source, prefix[-1], key=(problem, kind, prefix))
+    if len(set(prefix)) < len(prefix) or not all(0 <= i < problem.nvars for i in prefix):
+        raise ValueError(f"{prefix} is not distinct variable indices of {problem.nvars} variables")
+    stages: list[frozenset[Polynomial]] = []
+    for k, v in enumerate(prefix):
+        if stages:
+            op, source = mccallum_project, stages[-1]
+        elif kind == "full":
+            op, source = mccallum_project, problem.defining_polynomials()
+        else:
+            op, source = ttiprojection, problem
+        stages.append(_memo(op, source, v, key=(problem, kind, prefix[:k + 1])))
+    return tuple(stages)
+
+
+def projection_stage(
+    problem: Problem, kind: str, prefix: tuple[int, ...]
+) -> frozenset[Polynomial]:
+    """The set left after eliminating the variables with indices `prefix`,
+    in that order, from the problem; an empty prefix raises ValueError."""
+    if not prefix:
+        raise ValueError("an empty prefix eliminates no variable")
+    return _stages(problem, kind, tuple(prefix))[-1]
 
 
 def project_cascade(
     problem: Problem, ordering: VariableOrdering, kind: str = "full"
-) -> tuple[ProjectionSet, ...]:
+) -> tuple[frozenset[Polynomial], ...]:
     """The stages of repeatedly projecting the problem along the ordering,
-    greatest variable first, until one variable remains: one
-    `projection_stage` per elimination, so stage k leaves ``nvars - k - 1``
-    variables."""
-    _check_kind(kind)
-    idx = ordering.indices
-    stages: list[ProjectionSet] = []
-    for k in range(1, len(idx)):
-        stages.append(projection_stage(problem, kind, idx[:k], stages[-1] if stages else None))
-    return tuple(stages)
+    greatest variable first, until one variable remains, so stage k leaves
+    ``nvars - k - 1`` variables."""
+    return _stages(problem, kind, ordering.indices[:-1])
 
 
 def _lead_closure(polys: Collection[Polynomial], v: int) -> list[Polynomial]:

@@ -114,6 +114,18 @@ def test_coefficient_extraction():
     assert Polynomial.zero(3).coefficients(0) == []
 
 
+@pytest.mark.parametrize("v", [-1, -3, 3])
+def test_variable_index_out_of_range_is_rejected(v):
+    # e[:v] + (0,) + e[v + 1:] with v = -1 builds tuples of the wrong length
+    f = X * Y + Y**2 + 1
+    for method in (lambda: f.coefficient(v, 0), lambda: f.coefficients(v),
+                   lambda: f.derivative(v)):
+        with pytest.raises(ValueError, match="out of range"):
+            method()
+    with pytest.raises(ValueError, match="out of range"):
+        Polynomial.var(3, v)
+
+
 def test_to_str_round_shapes():
     assert (X * X + Y - 1).to_str(NAMES) == "x^2+y-1"
     assert (-4 * Y * Y + 4).to_str(NAMES) == "-4*y^2+4"

@@ -7,13 +7,14 @@ from cadorder.formula import Constraint, Problem, QFF, Relop, Variable, Variable
 from cadorder.generator import GenParams, random_problem
 from cadorder.heuristics import greedy_sotd_order
 from cadorder.polys import Polynomial, sign_normalize
+import cadorder.projection as projection
 from cadorder.projection import (
-    ProjectionSet,
     mccallum_project,
     newh_omitted_set,
     newh_set,
     normalize_set,
     project_cascade,
+    projection_stage,
     ttiprojection,
 )
 
@@ -39,17 +40,15 @@ def corpus(seed, labels=("00", "10", "20", "11", "21", "22"), **kw):
 
 
 def test_mccallum_circle():
-    out = mccallum_project([X**2 + Y**2 - 1], 0)
-    assert out.polys == {Y**2 - 1}
-    assert out.eliminated == 0
+    assert mccallum_project([X**2 + Y**2 - 1], 0) == {Y**2 - 1}
 
 
 def test_mccallum_saddle():
-    assert mccallum_project([X * Y - Z], 0).polys == {Y, Z}
+    assert mccallum_project([X * Y - Z], 0) == {Y, Z}
 
 
 def test_mccallum_variable_free_input_passes_through():
-    assert mccallum_project([Y**2 - 2], 0).polys == {Y**2 - 2}
+    assert mccallum_project([Y**2 - 2], 0) == {Y**2 - 2}
 
 
 def test_mccallum_rejects_zero():
@@ -57,9 +56,20 @@ def test_mccallum_rejects_zero():
         mccallum_project([X, Polynomial.zero(3)], 0)
 
 
-def test_projection_set_rejects_unremoved_variable():
-    with pytest.raises(AssertionError):
-        ProjectionSet(frozenset([X * Y]), 0)
+def test_mccallum_rejects_a_negative_variable_index():
+    with pytest.raises(ValueError, match="out of range"):
+        mccallum_project([X * Y + Y**2 + 1], -1)
+
+
+def test_projection_set_rejects_unremoved_variable(monkeypatch):
+    # a broken primitive that leaves x in every output must not pass through
+    # either operator's return path
+    monkeypatch.setattr(projection, "squarefree_part", lambda f: X * Y)
+    p = make_problem([(Y**2 - 2, Relop.EQ)])
+    with pytest.raises(AssertionError, match="still mentions the eliminated variable"):
+        mccallum_project([Y**2 - 2], 0)
+    with pytest.raises(AssertionError, match="still mentions the eliminated variable"):
+        ttiprojection(p, 0)
 
 
 def test_normalize_set_reduces_and_is_idempotent():
@@ -81,12 +91,12 @@ def test_normalize_set_reduces_and_is_idempotent():
 
 def test_tti_single_qff_with_ec():
     p = make_problem([(X**2 + Y**2 - 1, Relop.EQ), (X - Y, Relop.LT)])
-    assert ttiprojection(p, 0).polys == {Y**2 - 1, 2 * Y**2 - 1}
+    assert ttiprojection(p, 0) == {Y**2 - 1, 2 * Y**2 - 1}
 
 
 def test_tti_cross_resultant_between_declared_ecs():
     p = make_problem([(X - Y, Relop.EQ)], [(X - Z, Relop.EQ)])
-    out = ttiprojection(p, 0).polys
+    out = ttiprojection(p, 0)
     assert Y - Z in out
     assert out == {Y, Z, Y - Z}
 
@@ -96,10 +106,10 @@ def test_tti_equals_full_on_ec_free_problems():
         [(X**2 - Y, Relop.LT), (X + Y, Relop.GT)],
         [(X * Z - 1, Relop.NE), (Y - Z, Relop.LE)],
     )
-    assert ttiprojection(p, 0).polys == mccallum_project(p.defining_polynomials(), 0).polys
+    assert ttiprojection(p, 0) == mccallum_project(p.defining_polynomials(), 0)
     for q in corpus(901, labels=("00",)):
-        full = mccallum_project(q.defining_polynomials(), 0).polys
-        assert ttiprojection(q, 0).polys == full
+        full = mccallum_project(q.defining_polynomials(), 0)
+        assert ttiprojection(q, 0) == full
 
 
 def test_tti_equals_full_even_with_polynomial_content():
@@ -109,12 +119,12 @@ def test_tti_equals_full_even_with_polynomial_content():
         [(X**2 * Y + X * Y, Relop.LT)],
         [(X - Y, Relop.GT)],
     )
-    assert ttiprojection(p, 0).polys == mccallum_project(p.defining_polynomials(), 0).polys
+    assert ttiprojection(p, 0) == mccallum_project(p.defining_polynomials(), 0)
 
 
 def test_tti_matches_independent_recomputation():
     for q in corpus(902, labels=("10", "21", "00")):
-        assert ttiprojection(q, 0).polys == _naive_tti_step(q, 0)
+        assert ttiprojection(q, 0) == _naive_tti_step(q, 0)
 
 
 # ----------------------------------------------------------------- cascades
@@ -133,12 +143,11 @@ def test_cascade_hand_chained():
     # eliminating z turns x*y - z into its trailing coefficient x*y while the
     # circle passes through as a z-free content; eliminating y then reduces
     # x*y to its primitive part y, whose resultant with the circle is x^2 - 1
-    assert [s.polys for s in c] == [
+    assert list(c) == [
         {X**2 + Y**2 - 1, X * Y},
         {X**2 - 1, X},
     ]
-    assert [s.eliminated for s in c] == [2, 1]
-    assert [s.polys for s in c] == naive_cascade(p, p.ordering("z>y>x"), "full")
+    assert list(c) == naive_cascade(p, p.ordering("z>y>x"), "full")
 
 
 @pytest.mark.parametrize("nvars", [1, 3])
@@ -152,12 +161,58 @@ def test_unknown_kind_is_rejected_before_any_work(nvars):
         greedy_sotd_order(p, "lazard")
 
 
+@pytest.mark.parametrize("prefix", [(), (2, 2), (5,), (-1,), (0, 3)])
+@pytest.mark.parametrize("kind", ["full", "tti"])
+def test_projection_stage_rejects_a_bad_prefix_before_any_work(prefix, kind, monkeypatch):
+    p = random_problem("21", GenParams(seed=3))
+
+    def no_work(*args):
+        raise AssertionError("projected before checking the prefix")
+
+    monkeypatch.setattr(projection, "mccallum_project", no_work)
+    monkeypatch.setattr(projection, "ttiprojection", no_work)
+    with projection.Workspace() as ws:
+        with pytest.raises(ValueError):
+            projection_stage(p, kind, prefix)
+    assert ws.memo == {}
+
+
+@pytest.mark.parametrize("kind", ["full", "tti"])
+def test_projection_stage_is_the_cascade_stage_with_that_prefix(kind):
+    p = random_problem("21", GenParams(max_tdeg=3, terms=3, coeff_bound=10, seed=3))
+    for spec in ("z>y>x", "y>x>z"):
+        o = p.ordering(spec)
+        cascade = project_cascade(p, o, kind)
+        for k in range(1, p.nvars):
+            prefix = o.indices[:k]
+            assert projection_stage(p, kind, prefix) == cascade[k - 1]
+            with projection.Workspace():
+                assert projection_stage(p, kind, list(prefix)) == cascade[k - 1]
+                assert project_cascade(p, o, kind)[k - 1] == cascade[k - 1]
+
+
+@pytest.mark.parametrize("kind", ["full", "tti"])
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_cascade_without_a_workspace_projects_once_per_stage(kind, nvars, monkeypatch):
+    p = random_problem("21", GenParams(n_vars=nvars, max_tdeg=2, terms=3, coeff_bound=5, seed=1))
+    calls = []
+    for name in ("mccallum_project", "ttiprojection"):
+        def counted(*args, op=getattr(projection, name)):
+            calls.append(args[-1])
+            return op(*args)
+
+        monkeypatch.setattr(projection, name, counted)
+    o = VariableOrdering(p.variables[::-1])
+    assert len(project_cascade(p, o, kind)) == nvars - 1
+    assert calls == list(o.indices[:-1])
+
+
 def test_tti_cascade_equals_full_cascade_without_ecs():
     for q in corpus(903, labels=("00",)):
         for spec in ("x>y>z", "z>x>y"):
             full = project_cascade(q, q.ordering(spec), kind="full")
             tti = project_cascade(q, q.ordering(spec), kind="tti")
-            assert [s.polys for s in full] == [s.polys for s in tti]
+            assert full == tti
 
 
 def test_cascade_stage_variable_containment():
@@ -169,11 +224,11 @@ def test_cascade_stage_variable_containment():
                 assert len(c) == q.nvars - 1
                 for k, stage in enumerate(c):
                     allowed = {v.index for v in ordering.variables[k + 1:]}
-                    for f in stage.polys:
+                    for f in stage:
                         assert f.variables() <= allowed
                 if c:
                     lowest = ordering.variables[-1].index
-                    for f in c[-1].polys:
+                    for f in c[-1]:
                         assert f.variables() <= {lowest}
 
 
@@ -252,5 +307,5 @@ def test_all_projection_outputs_are_free_of_the_eliminated_variable():
                 mccallum_project(q.defining_polynomials(), v),
                 ttiprojection(q, v),
             ):
-                for f in out.polys:
+                for f in out:
                     assert v not in f.variables()
