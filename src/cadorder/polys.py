@@ -17,8 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import random
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, isqrt
 from typing import Iterable, Iterator
 
 from cadorder import _kernel_py as _k
@@ -140,6 +139,8 @@ class Polynomial:
 
     def degree(self, v: int) -> int:
         """Degree in variable v; -1 for the zero polynomial."""
+        if not 0 <= v < self.nvars:  # degree is hot: check inline, raise via the helper
+            _check_index(v, self.nvars)
         if not self.terms:
             return -1
         return max(e[v] for e in self.terms)
@@ -218,6 +219,8 @@ class Polynomial:
 
     def _shifted(self, v: int, power: int) -> "Polynomial":
         """Multiply by v**power (power >= 0)."""
+        if not 0 <= v < self.nvars:
+            _check_index(v, self.nvars)
         if power == 0 or not self.terms:
             return self
         mono = [0] * self.nvars
@@ -364,77 +367,65 @@ def prem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
     return r
 
 
-# Modulus for the coprimality certificate below; any prime beyond realistic
-# degree bounds works, a Mersenne prime keeps the reductions cheap.
-_CERT_PRIME = (1 << 61) - 1
-
-
-def _gf_image(f: Polynomial, v: int, pts: list[int], p: int) -> list[int]:
-    """f mapped to GF(p)[v] by evaluating every other variable at pts.
-
-    Returns dense coefficients, constant term first, trailing zeros trimmed
-    (so the list may be shorter than deg_v(f)+1 when the true leading
-    coefficient vanishes at the chosen point).
-    """
-    img: dict[int, int] = {}
+def _evaluate(f: Polynomial, v: int, xi: int) -> Polynomial:
+    """f with variable v set to the integer xi (v's slot becomes 0)."""
+    out: dict = {}
     for e, c in f.terms.items():
-        m = c % p
-        for i, k in enumerate(e):
-            if k and i != v:
-                m = m * pow(pts[i], k, p) % p
-        d = e[v]
-        img[d] = (img.get(d, 0) + m) % p
-    out = [img.get(i, 0) for i in range(max(img) + 1)] if img else []
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+        k = e[:v] + (0,) + e[v + 1:]
+        s = out.get(k, 0) + c * xi ** e[v]
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return Polynomial._raw(f.nvars, out)
 
 
-def _gf_gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    """Degree of gcd of two univariate GF(p) polynomials (dense lists)."""
-    while b:
-        inv = pow(b[-1], -1, p)
-        a = a[:]
-        while len(a) >= len(b):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = a[-1] * inv % p
-            off = len(a) - len(b)
-            for i in range(len(b) - 1):
-                a[off + i] = (a[off + i] - q * b[i]) % p
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1
+def _xi_adic(h: Polynomial, v: int, xi: int) -> Polynomial:
+    """The v-free h rebuilt in v by symmetric xi-adic digits (xi >= 3) of
+    its coefficients, so that evaluating the result at v = xi gives back h."""
+    out: dict = {}
+    half = xi // 2
+    for e, c in h.terms.items():
+        i = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e[:v] + (i,) + e[v + 1:]] = d
+            c = (c - d) // xi
+            i += 1
+    return Polynomial._raw(h.nvars, out)
 
 
-def _certified_coprime(f: Polynomial, g: Polynomial, v: int) -> bool:
-    """True only when gcd(f, g) provably has degree 0 in v.
+def _heuristic_gcd(f: Polynomial, g: Polynomial) -> "Polynomial | None":
+    """GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7 (1989) 31-48)
+    on nonconstant f and g of integer content 1: their primitive gcd, or
+    None when six evaluation points fail.
 
-    Evaluating all variables but v at a point where the leading coefficient
-    of f (or g) in v survives cannot lower the v-degree of the gcd's image,
-    so coprime images certify a v-free gcd.  False means inconclusive — the
-    caller falls back to the full remainder sequence.
+    With xi >= 2*min(max-norms)+2, a rebuilt primitive candidate that
+    divides both inputs is their gcd, so only the trial division decides.
     """
-    p = _CERT_PRIME
-    rng = random.Random(0x5EED)
-    df, dg = f.degree(v), g.degree(v)
-    for _ in range(3):
-        pts = [rng.randrange(1, p) for _ in range(f.nvars)]
-        fa = _gf_image(f, v, pts, p)
-        ga = _gf_image(g, v, pts, p)
-        if not fa or not ga:
-            continue
-        if len(fa) - 1 != df and len(ga) - 1 != dg:
-            continue  # both leading coefficients vanished: unlucky point
-        return _gf_gcd_degree(fa, ga, p) == 0
-    return False
+    v = max(f.variables() | g.variables())
+    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 2
+    for _ in range(6):
+        # the smaller-norm input has no root at xi, so the gcd is defined
+        h = _xi_adic(poly_gcd(_evaluate(f, v, xi), _evaluate(g, v, xi)), v, xi)
+        h = _int_content_primitive(h)[1]
+        if _k.kexact_div(f.terms, h.terms) is not None and \
+                _k.kexact_div(g.terms, h.terms) is not None:
+            return h
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Gcd over the integers (integer content included), sign-normalized."""
+    """Gcd over the integers (integer content included), sign-normalized.
+
+    Tries the heuristic GCD (GCDHEU) on the inputs with their integer
+    contents stripped, and falls back to a primitive remainder sequence in
+    the greatest variable when it fails.
+    """
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if f.is_zero():
@@ -444,13 +435,15 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_const() or g.is_const():
         c = _int_gcd(f.int_content(), g.int_content())
         return Polynomial.const(f.nvars, c)
+    cf, pf = _int_content_primitive(f)
+    cg, pg = _int_content_primitive(g)
+    h = _heuristic_gcd(pf, pg)
+    if h is not None:
+        return sign_normalize(h * _int_gcd(cf, cg))
     v = max(f.variables() | g.variables())
     cf, pf = content_primitive(f, v)
     cg, pg = content_primitive(g, v)
     cont = poly_gcd(cf, cg)
-    # A v-free gcd of the primitive parts must divide their unit contents.
-    if pf.degree(v) > 0 and pg.degree(v) > 0 and _certified_coprime(pf, pg, v):
-        return sign_normalize(cont)
     a, b = pf, pg
     if a.degree(v) < b.degree(v):
         a, b = b, a

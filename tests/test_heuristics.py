@@ -65,6 +65,12 @@ def test_variable_measures_absent_variable_is_all_zero():
     assert variable_measures([X**2 - 1, X + 1], 2) == Measures(0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("v", [-1, 3])
+def test_variable_measures_rejects_an_out_of_range_index(v):
+    with pytest.raises(ValueError, match="out of range"):
+        variable_measures([X * Y + Y**2 + 1], v)
+
+
 def test_sotd_values():
     assert sotd([X**2 * Y + 1]) == 3
     assert sotd([]) == 0

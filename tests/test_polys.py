@@ -119,7 +119,8 @@ def test_variable_index_out_of_range_is_rejected(v):
     # e[:v] + (0,) + e[v + 1:] with v = -1 builds tuples of the wrong length
     f = X * Y + Y**2 + 1
     for method in (lambda: f.coefficient(v, 0), lambda: f.coefficients(v),
-                   lambda: f.derivative(v)):
+                   lambda: f.derivative(v), lambda: f.degree(v),
+                   lambda: f._shifted(v, 1), lambda: Polynomial.zero(3).degree(v)):
         with pytest.raises(ValueError, match="out of range"):
             method()
     with pytest.raises(ValueError, match="out of range"):
@@ -205,10 +206,46 @@ def test_poly_gcd_fast_path_matches_full_remainder_sequence(monkeypatch):
         if not (f.is_zero() or g.is_zero() or w.is_zero()):
             cases.append((f * w, g * w))
             cases.append((f, g))
+    # common factors in two and three variables, with integer contents
+    cases.append((6 * (X * Y - Z + 2) * (X + Y), 4 * (X * Y - Z + 2) ** 2))
+    cases.append(((X * Z - Y * Y) * (X - Z) ** 2, (X * Z - Y * Y) * (X - Z) * (Y + 3)))
+    cases.append(((2 * X * Y * Z + 5) * (X - Y), -(2 * X * Y * Z + 5) * (Z * Z - 7)))
     fast = [poly_gcd(a, b) for a, b in cases]
-    monkeypatch.setattr(polys_mod, "_certified_coprime", lambda *a: False)
+    # with the heuristic gcd failing, every gcd runs the remainder sequence
+    monkeypatch.setattr(polys_mod, "_heuristic_gcd", lambda f, g: None)
     slow = [poly_gcd(a, b) for a, b in cases]
     assert fast == slow
+    assert slow[-3:] == [2 * (X * Y - Z + 2), (X * Z - Y * Y) * (X - Z), 2 * X * Y * Z + 5]
+
+
+def test_poly_gcd_falls_back_after_six_failed_points(monkeypatch):
+    cases = [((X * Y - Z + 2) * (X + Y), (X * Y - Z + 2) * (Y - 3)), (X * X - 1, X + 1)]
+    want = [poly_gcd(a, b) for a, b in cases]
+    tries, runs = [], []
+    heuristic = polys_mod._heuristic_gcd
+
+    def no_divisor(h, v, xi):  # a candidate that divides neither input
+        tries.append(xi)
+        return Polynomial.var(h.nvars, v) + 97
+
+    def counted(f, g):
+        runs.append(f)
+        return heuristic(f, g)
+
+    monkeypatch.setattr(polys_mod, "_xi_adic", no_divisor)
+    monkeypatch.setattr(polys_mod, "_heuristic_gcd", counted)
+    assert [poly_gcd(a, b) for a, b in cases] == want
+    assert len(tries) == 6 * len(runs) and tries[:6] == sorted(set(tries[:6]))
+
+
+@pytest.mark.parametrize("xi", [3, 4, 10, 11, 1000])
+def test_xi_adic_rebuild_evaluates_back(xi):
+    # negative coefficients and coefficients far above xi, in a v-free h
+    h = -7 * X * X + (5 * xi**3 - 1) * X * Y + (-xi**4 + xi // 2 + 1) + 3 * Y
+    r = polys_mod._xi_adic(h, 2, xi)
+    assert polys_mod._evaluate(r, 2, xi) == h
+    # every digit lies in (-xi/2, xi/2]
+    assert all(-xi < 2 * c <= xi for c in r.terms.values())
 
 
 def test_squarefree_part_fixtures():

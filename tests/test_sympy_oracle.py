@@ -9,11 +9,13 @@ sympy's expansion, since it shares the kernel's arithmetic with `Polynomial`.
 """
 
 import random
+import time
 from math import lcm
 
 import pytest
 
 from cadorder.formula import Relop
+from cadorder.generator import GenParams, random_polynomial
 from cadorder.polys import (
     Polynomial,
     discriminant,
@@ -103,6 +105,19 @@ def test_squarefree_part_equals_sympy_sqf_part(seed):
         c = g.int_content()
         g = Polynomial(nvars, {e: a // c for e, a in g.terms.items()})
         assert squarefree_part(f) == sign_normalize(g)
+
+
+@pytest.mark.parametrize("seed,tdeg,terms", [(5, 4, 5), (6, 5, 5), (7, 5, 6), (8, 4, 6)])
+def test_squarefree_part_of_a_large_repeated_factor_equals_sympy(seed, tdeg, terms):
+    # f*g^2 at these sizes took over a minute with a remainder-sequence gcd
+    rng = random.Random(seed)
+    params = GenParams(3, tdeg, terms, 10, seed)
+    f, g = random_polynomial(params, rng), random_polynomial(params, rng)
+    start = time.process_time()
+    got = squarefree_part(f * g**2)
+    assert time.process_time() - start < 1.0
+    want = sympy.sqf_part(sympy.Poly(to_sympy(f * g**2), *SYMS)).primitive()[1]
+    assert got == sign_normalize(from_sympy(want.as_expr(), 3))
 
 
 def test_count_real_roots_counts_distinct_roots():
