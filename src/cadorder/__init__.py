@@ -2,9 +2,9 @@
 
 Everything is computed over the integers with arbitrary precision: sparse
 polynomial arithmetic, subresultant resultants and discriminants, projection
-operators, Sturm-chain real-root counting, and the twelve ordering heuristics
-built on top of them.  A small harness generates random problem corpora and
-scores heuristic choices against externally measured decomposition costs.
+operators, Descartes-bisection real-root counting, and the twelve ordering
+heuristics built on top of them.  A small harness generates random problem
+corpora and scores heuristic choices against measured decomposition costs.
 """
 
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable, VariableOrdering
@@ -41,7 +41,7 @@ from cadorder.projection import (
     project_cascade,
     ttiprojection,
 )
-from cadorder.realroots import count_real_roots, ndrr, sturm_chain
+from cadorder.realroots import count_real_roots, ndrr
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "sign_normalize",
     "sotd",
     "squarefree_part",
-    "sturm_chain",
     "suggest",
     "triangular_order",
     "ttiprojection",

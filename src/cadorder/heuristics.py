@@ -30,6 +30,7 @@ from cadorder.polys import Polynomial
 from cadorder.projection import (
     Workspace,
     _check_kind,
+    _workspace,
     newh_omitted_set,
     newh_set,
     project_cascade,
@@ -219,8 +220,8 @@ def ordering_search(
     tiebreak measure, computed for those orderings only.  Remaining ties go
     to the candidate that enumerates first, i.e. lexicographically by
     declaration index sequence.  The tiebreak re-reads the tied cascades
-    through `project_cascade`; inside the workspace `suggest` opens, that
-    returns the stages the first pass built.
+    through `project_cascade`, which returns the stages the first pass built:
+    the search runs inside a workspace, opened here when none is open.
     """
     hid = _SEARCHES.get((measure, tiebreak, kind))
     if hid is None:
@@ -229,22 +230,23 @@ def ordering_search(
             f"over {kind!r} cascades"
         )
     measure_fn = MEASURES[measure]
-    candidates: dict[VariableOrdering, dict[str, int]] = {
-        o: {measure: measure_fn(problem, project_cascade(problem, o, kind))}
-        for o in _all_orderings(problem)
-    }
-    best_val = min(vals[measure] for vals in candidates.values())
-    tied = [o for o, vals in candidates.items() if vals[measure] == best_val]
-    tiebreaks: tuple[str, ...] = ()
-    if tiebreak and len(tied) > 1:
-        tiebreaks = (tiebreak,)
-        tiebreak_fn = MEASURES[tiebreak]
-        for ordering in tied:
-            candidates[ordering][tiebreak] = tiebreak_fn(
-                problem, project_cascade(problem, ordering, kind)
-            )
-        best_tb = min(candidates[o][tiebreak] for o in tied)
-        tied = [o for o in tied if candidates[o][tiebreak] == best_tb]
+    with _workspace():
+        candidates: dict[VariableOrdering, dict[str, int]] = {
+            o: {measure: measure_fn(problem, project_cascade(problem, o, kind))}
+            for o in _all_orderings(problem)
+        }
+        best_val = min(vals[measure] for vals in candidates.values())
+        tied = [o for o, vals in candidates.items() if vals[measure] == best_val]
+        tiebreaks: tuple[str, ...] = ()
+        if tiebreak and len(tied) > 1:
+            tiebreaks = (tiebreak,)
+            tiebreak_fn = MEASURES[tiebreak]
+            for ordering in tied:
+                candidates[ordering][tiebreak] = tiebreak_fn(
+                    problem, project_cascade(problem, ordering, kind)
+                )
+            best_tb = min(candidates[o][tiebreak] for o in tied)
+            tied = [o for o in tied if candidates[o][tiebreak] == best_tb]
     fallback = len(tied) > 1
     if fallback:
         tiebreaks = tiebreaks + ("lex",)
@@ -264,31 +266,33 @@ def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
     """Allocate the next-greatest variable as the one whose single projection
     step produces the set with the smallest sum of total degrees.  Each step
     is the `projection_stage` of the chosen prefix plus one candidate, so it
-    is the stage an enumerated cascade with that prefix holds; with no
-    workspace open, each candidate rebuilds the chosen prefix's stages."""
+    is the stage an enumerated cascade with that prefix holds.  The search
+    runs inside a workspace, opened here when none is open, so the chosen
+    prefix's stages are built once."""
     _check_kind(kind)
     remaining = list(problem.variables)
     chosen: list[Variable] = []
     fallback = False
     notes: list[str] = []
-    while len(remaining) > 1:
-        best_var = None
-        best_val = None
-        tied = 0
-        step_vals = []
-        prefix = tuple(v.index for v in chosen)
-        for v in remaining:
-            val = sotd(projection_stage(problem, kind, prefix + (v.index,)))
-            step_vals.append(f"{v.name}:{val}")
-            if best_val is None or val < best_val:
-                best_var, best_val, tied = v, val, 1
-            elif val == best_val:
-                tied += 1
-        if tied > 1:
-            fallback = True
-        notes.append(f"step {len(chosen) + 1}: " + " ".join(step_vals))
-        chosen.append(best_var)
-        remaining.remove(best_var)
+    with _workspace():
+        while len(remaining) > 1:
+            best_var = None
+            best_val = None
+            tied = 0
+            step_vals = []
+            prefix = tuple(v.index for v in chosen)
+            for v in remaining:
+                val = sotd(projection_stage(problem, kind, prefix + (v.index,)))
+                step_vals.append(f"{v.name}:{val}")
+                if best_val is None or val < best_val:
+                    best_var, best_val, tied = v, val, 1
+                elif val == best_val:
+                    tied += 1
+            if tied > 1:
+                fallback = True
+            notes.append(f"step {len(chosen) + 1}: " + " ".join(step_vals))
+            chosen.append(best_var)
+            remaining.remove(best_var)
     chosen.extend(remaining)
     return HeuristicReport(
         _GREEDY[kind],

@@ -28,7 +28,9 @@ of eliminated variable indices)``, so a greedy step and a cascade with the
 same prefix share one stage.  A squarefree part is also stored under
 itself.  `heuristics.suggest` opens one workspace per heuristic call and
 drops it when the heuristic returns or raises, so nothing is shared between
-heuristics or problems.  With no workspace open, nothing is stored.  On a
+heuristics or problems.  `ordering_search`, `greedy_sotd_order` and
+`realroots.ndrr`, called with no workspace open, open one for the call
+(`_workspace`); outside all of these, nothing is stored.  On a
 miss the lookup calls `squarefree_part`, `resultant`, `discriminant`,
 `mccallum_project` and `ttiprojection` as module attributes, so a wrapper
 bound over them sees exactly the work that was done.
@@ -36,6 +38,7 @@ bound over them sees exactly the work that was done.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from contextvars import ContextVar
 from itertools import combinations
 from typing import Callable, Collection, Hashable, Iterable
@@ -85,6 +88,12 @@ class Workspace:
 
 # The workspace the running code reads through, or None.
 _OPEN: ContextVar[Workspace | None] = ContextVar("cadorder_projection_workspace", default=None)
+
+
+def _workspace() -> Workspace | nullcontext:
+    """A new `Workspace` to enter, or a null context when one is already
+    open: a workspace cannot be re-entered, and the open one serves."""
+    return Workspace() if _OPEN.get() is None else nullcontext()
 
 
 def _memo(fn: Callable, *args, key: Hashable = None):

@@ -1,93 +1,72 @@
 """Counting distinct real roots of univariate integer polynomials.
 
-Sturm chains are built fraction-free: each new entry is the negated
-pseudo-remainder of the previous two, rescaled so the implicit multiplier is
-positive (otherwise pseudo-division by a negative leading coefficient would
-corrupt the sign sequence), then divided by its positive integer content to
-keep coefficients small.  The number of distinct real roots is the drop in
-sign variations between -infinity and +infinity.
+Descartes' rule of signs with bisection (Collins and Akritas, 1976) on the
+dense integer coefficient list of the squarefree part.  A root at 0 is
+counted and divided out; the positive roots of f(x) and of f(-x) lie below
+2^k, a power of two above Fujiwara's root bound, and x = 2^k y maps them
+into (0, 1).  There the sign variations of (y + 1)^n p(1 / (y + 1)) bound
+the roots and are exact when 0 or 1; otherwise 2^n p(y / 2) is the left
+half, its Taylor shift by 1 the right half, and a zero constant term of the
+right half a root at the midpoint.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from cadorder.polys import Polynomial, _int_content_primitive, prem, squarefree_part
-from cadorder.projection import normalize_set
+from cadorder.polys import Polynomial, squarefree_part
+from cadorder.projection import _memo, _workspace, normalize_set
 
-__all__ = ["sturm_chain", "count_real_roots", "ndrr"]
-
-
-def _univariate_in(f: Polynomial) -> int | None:
-    """Index of the single variable of f, or None for constants; raises on
-    zero or genuinely multivariate input."""
-    if f.is_zero():
-        raise ValueError("Sturm chain of the zero polynomial is undefined")
-    vs = f.variables()
-    if len(vs) > 1:
-        raise ValueError(f"{f} is not univariate")
-    return next(iter(vs)) if vs else None
+__all__ = ["count_real_roots", "ndrr"]
 
 
-def _chain(f: Polynomial, v: int) -> list[Polynomial]:
-    """Sturm chain of f itself, f non-constant in v, no squarefree pass."""
-    chain = [f, _int_content_primitive(f.derivative(v))[1]]
-    while True:
-        a, b = chain[-2], chain[-1]
-        da, db = a.degree(v), b.degree(v)
-        r = prem(a, b, v)
-        if r.is_zero():
-            break
-        lb = next(iter(b.lcoeff(v).terms.values()))
-        if lb < 0 and (da - db + 1) % 2 == 1:
-            # make the implicit multiplier positive
-            r = -r
-        chain.append(_int_content_primitive(-r)[1])
-    return chain
+def _shift1(c: list[int]) -> list[int]:
+    """Coefficients of p(x + 1) from those of p, lowest degree first."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return c
 
 
-def sturm_chain(f: Polynomial) -> list[Polynomial]:
-    """Sturm chain of the squarefree part of f (nonzero, univariate)."""
-    v = _univariate_in(f)
-    f0 = squarefree_part(f)
-    if v is None or f0.is_const():
-        return [f0]
-    return _chain(f0, v)
-
-
-def _variations(signs: Iterable[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
+def _roots_01(c: list[int]) -> int:
+    """Number of roots in (0, 1) of the squarefree p with coefficients c."""
+    signs = [a > 0 for a in _shift1(c[::-1]) if a]
+    v = sum(s != t for s, t in zip(signs, signs[1:]))
+    if v < 2:
+        return v
+    n = len(c) - 1
+    left = [a << (n - i) for i, a in enumerate(c)]  # 2^n p(x / 2)
+    right = _shift1(left)  # 2^n p((x + 1) / 2)
+    mid = 1 if right[0] == 0 else 0
+    return _roots_01(left) + mid + _roots_01(right[mid:])
 
 
 def count_real_roots(f: Polynomial) -> int:
-    """Number of distinct real roots of a nonzero univariate polynomial.
-
-    Uses the chain of f itself, without a squarefree pass: a repeated factor
-    ends the chain at gcd(f, f') instead of a constant, and multiplies every
-    entry's sign at -infinity and +infinity alike, so the drop in sign
-    variations still counts each distinct real root once.
-    """
-    v = _univariate_in(f)
-    if v is None:
+    """Number of distinct real roots of a nonzero univariate polynomial; the
+    squarefree part comes through the open workspace, if any."""
+    if f.is_zero():
+        raise ValueError("root count of the zero polynomial is undefined")
+    vs = f.variables()
+    if len(vs) > 1:
+        raise ValueError(f"{f} is not univariate")
+    if not vs:
         return 0
-    chain = _chain(_int_content_primitive(f)[1], v)
-    at_neg = []
-    at_pos = []
-    for p in chain:
-        d = p.degree(v)
-        lead = next(iter(p.lcoeff(v).terms.values()))
-        s = 1 if lead > 0 else -1
-        at_pos.append(s)
-        at_neg.append(s if d % 2 == 0 else -s)
-    return _variations(at_neg) - _variations(at_pos)
+    (v,) = vs
+    g = _memo(squarefree_part, f)
+    c = [0] * (g.degree(v) + 1)
+    for e, a in g.terms.items():
+        c[e[v]] = a
+    at_zero = 1 if c[0] == 0 else 0
+    c = c[at_zero:]
+    # |c_i / c_n| < 2^(bits(c_i) - top), so 2^k is above Fujiwara's bound
+    # 2 max |c_i / c_n|^(1 / (n - i)) on the absolute value of every root
+    n, top = len(c) - 1, abs(c[-1]).bit_length() - 1
+    k = 1 + max([0] + [-((top - abs(a).bit_length()) // (n - i))
+                       for i, a in enumerate(c[:-1]) if a])
+    pos = [a << (k * i) for i, a in enumerate(c)]
+    neg = [-a if i % 2 else a for i, a in enumerate(pos)]
+    return at_zero + _roots_01(pos) + _roots_01(neg)
 
 
 def ndrr(polys: Iterable[Polynomial]) -> int:
@@ -96,6 +75,8 @@ def ndrr(polys: Iterable[Polynomial]) -> int:
 
     Root counts shared between different polynomials are counted once per
     polynomial; only exact duplicates of the canonical form collapse.
-    Constants contribute zero.
+    Constants contribute zero.  Runs inside a workspace, opened here when
+    none is open, so each member's squarefree part is taken once.
     """
-    return sum(count_real_roots(g) for g in normalize_set(polys))
+    with _workspace():
+        return sum(count_real_roots(g) for g in normalize_set(polys))

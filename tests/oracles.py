@@ -6,8 +6,13 @@ Descartes/bisection scan over exact rationals, the ordering search from
 a from-scratch cascade recomputation built on those two, and the savings
 bookkeeping from per-row `Fraction` averages and sequential `Fraction` sums.  Only the
 Polynomial value type and its ring operations are shared with the package;
-none of the algorithms under test (subresultant PRS, Sturm chains,
-projection operators, heuristics) are imported.
+none of the algorithms under test (subresultant PRS, the integer
+Descartes/bisection root counter, projection operators, heuristics) are
+imported.  The root-count oracle follows the same rule of signs as the
+package's counter but shares none of its steps: it takes the squarefree
+part by rational Euclid, bounds the roots by Cauchy's bound, maps each
+interval to (0, 1) by a rational affine substitution and evaluates the
+midpoint, where the package works on scaled integer lists.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ def test_criterion_01_resultant_equals_sylvester_cofactor_oracle():
     assert elapsed < 10.0
 
 
-def test_criterion_02_sturm_counts_match_descartes_bisection_oracle():
+def test_criterion_02_root_counts_match_descartes_bisection_oracle():
     start = time.perf_counter()
     rng = random.Random(20)
     for _ in range(200):

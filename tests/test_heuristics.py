@@ -458,6 +458,32 @@ def test_greedy_reuses_the_stages_of_a_search_in_the_same_workspace(kind, monkey
         assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["full", "tti"])
+@pytest.mark.parametrize(
+    "search", [greedy_sotd_order, lambda p, kind: ordering_search(p, "sotd", kind)],
+    ids=["greedy", "sotd"],
+)
+def test_a_direct_search_projects_as_often_as_inside_a_workspace(search, kind, monkeypatch):
+    # a search called with no workspace open opens its own, so it builds
+    # each stage once instead of once per candidate that extends it
+    p = gen("21", seed=43, n_vars=4, max_tdeg=2, terms=2)
+    calls = []
+    for name in ("mccallum_project", "ttiprojection"):
+        def counted(*args, op=getattr(projection, name)):
+            calls.append(args)
+            return op(*args)
+
+        monkeypatch.setattr(projection, name, counted)
+    direct = search(p, kind)
+    assert projection._OPEN.get() is None
+    n_direct = len(calls)
+    calls.clear()
+    with projection.Workspace():
+        inside = search(p, kind)
+    assert n_direct == len(calls) > 0
+    assert report_fields(direct) == report_fields(inside)
+
+
 def test_choices_are_permutations_and_replays_are_identical():
     for label, seed in (("00", 51), ("22", 52)):
         p = gen(label, seed)

@@ -1,15 +1,17 @@
-"""Sturm chains and distinct-real-root counting."""
+"""Distinct-real-root counting by Descartes' rule with bisection."""
 
 import random
+import time
 
 import pytest
 
 from oracles import dense_coeffs, descartes_root_count
 from cadorder import projection, realroots
 from cadorder.polys import Polynomial, poly_gcd, squarefree_part
-from cadorder.realroots import count_real_roots, ndrr, sturm_chain
+from cadorder.realroots import count_real_roots, ndrr
 
 X = Polynomial.var(1, 0)
+Y = Polynomial.var(3, 1)  # univariate in a 3-variable ring
 
 
 def upoly(*coeffs):
@@ -29,51 +31,15 @@ def rand_upoly(rng, max_deg=8, bound=50):
     return upoly(*coeffs, lead)
 
 
-# ---------------------------------------------------------------- chains
-
-
-def test_chain_x_squared_minus_two():
-    # hand Euclid gives [x^2-2, 2x, 2]; content stripping scales entries
-    # by positive integers only, so signs are preserved
-    assert sturm_chain(X**2 - 2) == [X**2 - 2, X, upoly(1)]
-
-
-def test_chain_x_squared_plus_one():
-    assert sturm_chain(X**2 + 1) == [X**2 + 1, X, upoly(-1)]
-
-
-def test_chain_linear():
-    assert sturm_chain(X - 5) == [X - 5, upoly(1)]
-
-
-def test_chain_starts_at_squarefree_part_then_derivative():
-    rng = random.Random(4101)
-    for _ in range(40):
-        f = rand_upoly(rng, max_deg=6, bound=9)
-        if rng.random() < 0.5:
-            f = f * f  # force repeated factors
-        chain = sturm_chain(f)
-        f0 = squarefree_part(f)
-        assert chain[0] == f0
-        if f0.is_const():
-            assert chain == [f0]
-            continue
-        d = f0.derivative(0)
-        assert chain[1] * d.int_content() == d
-        # squarefree input means gcd(f0, f0') is constant, so the chain
-        # bottoms out at a nonzero constant
-        assert chain[-1].is_const() and not chain[-1].is_zero()
+# ---------------------------------------------------------------- counts
 
 
 def test_chain_rejects_zero_and_multivariate():
     with pytest.raises(ValueError):
-        sturm_chain(Polynomial.zero(1))
+        count_real_roots(Polynomial.zero(1))
     x, y = (Polynomial.var(2, i) for i in range(2))
     with pytest.raises(ValueError):
-        sturm_chain(x * y + 1)
-
-
-# ---------------------------------------------------------------- counts
+        count_real_roots(x * y + 1)
 
 
 @pytest.mark.parametrize(
@@ -86,12 +52,25 @@ def test_chain_rejects_zero_and_multivariate():
         (X - 5, 1),
         (upoly(7), 0),
         (X**2 - 2, 2),
+        (X**4 - X**2, 3),  # a double root at 0
+        ((X - 1) * (2 * X - 1) * (4 * X - 1), 3),  # roots on bisection midpoints
+        ((Y - 1) ** 2 * (Y**2 - 3) * (Y + 4) ** 3, 4),
     ],
 )
 def test_count_fixtures(f, expected):
     assert count_real_roots(f) == expected
     if not f.is_const():
-        assert descartes_root_count(dense_coeffs(f, 0)) == expected
+        (v,) = f.variables()
+        assert descartes_root_count(dense_coeffs(f, v)) == expected
+
+
+@pytest.mark.parametrize("d, a", [(6, 10), (12, 100), (20, 10**3), (40, 10**6)])
+def test_count_mignotte_like_within_cpu_bound(d, a):
+    # x^d - 2(ax - 1)^2 has two roots within about a^(-d/2) of 1/a, which
+    # takes the deepest bisection: the known worst case of this counter
+    start = time.process_time()
+    assert count_real_roots(X**d - 2 * (a * X - 1) ** 2) == 4
+    assert time.process_time() - start < 5.0
 
 
 def test_count_invariant_under_squarefree_and_scaling():

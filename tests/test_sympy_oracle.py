@@ -126,11 +126,24 @@ def test_count_real_roots_counts_distinct_roots():
     assert sympy.Poly(to_sympy((x - 1) ** 2 * (x + 2)), SYMS[0]).count_roots() == 2
 
 
+def dyadic_product(rng):
+    """A product of (2^k x - a) factors, some repeated, at random times
+    x^2 + c: its roots fall on bisection midpoints and at 0."""
+    x = Polynomial.var(1, 0)
+    f = Polynomial.const(1, 1)
+    for _ in range(rng.randint(1, 4)):
+        f = f * (2 ** rng.randint(0, 5) * x - rng.randint(-16, 16)) ** rng.randint(1, 2)
+    if rng.random() < 0.5:
+        f = f * (x**2 + rng.randint(-9, 9))
+    return f
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_count_real_roots_equals_sympy_count_roots(seed):
     rng = random.Random(200 + seed)
-    for _ in range(20):
-        f = rand_poly(rng, 1, max_deg=5, terms=5, bound=9)
+    cases = [rand_poly(rng, 1, max_deg=5, terms=5, bound=9) for _ in range(20)]
+    cases += [dyadic_product(rng) for _ in range(70)]
+    for f in cases:
         want = sympy.Poly(to_sympy(f), SYMS[0]).count_roots()
         assert count_real_roots(f) == want, f
 
