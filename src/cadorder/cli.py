@@ -126,7 +126,8 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_heuristics(spec: str) -> list[HeuristicId]:
-    """argparse type of --heuristics: comma-separated ids, or 'all'."""
+    """argparse type of --heuristics: comma-separated ids, or 'all'; each
+    id once, in its first position."""
     if spec.strip() == "all":
         return list(HeuristicId)
     out = []
@@ -141,7 +142,7 @@ def _parse_heuristics(spec: str) -> list[HeuristicId]:
                 f"unknown heuristic '{token}' (known: {', '.join(_ALL_IDS)}, all)") from None
     if not out:
         raise argparse.ArgumentTypeError("no heuristics given")
-    return out
+    return list(dict.fromkeys(out))  # a repeated id would repeat choice rows
 
 
 def _load_corpus(corpus_dir: str) -> list[tuple[str, Problem]]:
@@ -183,8 +184,13 @@ def _cmd_sweep(args) -> int:
 def _group_lookup(manifest_path: str | None):
     if manifest_path is None:
         return default_group_of
-    labels = {rec["id"]: rec["label"]
-              for _, rec in read_records(manifest_path, ("id", "label"))}
+    labels = {}
+    for lineno, rec in read_records(manifest_path, ("id", "label")):
+        if rec["label"] == "all":
+            raise HarnessInputError(
+                f"{manifest_path}:{lineno}: label 'all' is reserved for the overall means"
+            )
+        labels[rec["id"]] = rec["label"]
 
     def group_of(pid: str) -> str:
         return labels.get(pid) or default_group_of(pid)

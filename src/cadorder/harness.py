@@ -12,12 +12,24 @@ alone, with its own projection workspace (the memo of squarefree parts,
 resultants, discriminants and cascade stages it builds and drops within the
 call), and nothing shared with other heuristics or problems.
 
-All arithmetic is exact integer arithmetic: times become integer ticks at one
-scale (the lcm of the cost table's time denominators), each problem's sums are
-taken once, and `Fraction` appears only at the API, one per returned value.
-Rounding (ties to even) happens only when rows are formatted for CSV output.
-Problems whose cost table does not cover every ordering are excluded from the
-statistics and reported.
+The eval is exact and runs on integers until a caller reads a value:
+
+* cost-table times become integer ticks at one scale (the lcm of the table's
+  time denominators), and each problem's totals are taken once;
+* a heuristic time is read once as an exact decimal ratio of its float;
+* a `SavingsRow` holds each saving as a reduced (numerator, denominator)
+  pair, and its `cell_saving_pct`/`time_saving_pct` properties build a
+  `Fraction` only when read;
+* each (group, heuristic) sum is taken once as an unreduced pair and
+  becomes one `Fraction`, the group mean; each "all" mean adds its groups'
+  sums (mean times row count) in `Fraction` arithmetic, which reduces by
+  gcds of partial-sum denominators instead of one gcd of the whole sum;
+* each summary statistic is one `Fraction`.
+
+Rounding (ties to even) happens only when values are formatted for CSV
+output, and `write_savings` formats straight from the pairs.  Problems whose
+cost table does not cover every ordering are excluded from the statistics and
+reported.
 
 CSV schemas (header row, comma separator):
 
@@ -34,9 +46,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from operator import add, attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from cadorder.formula import Problem
 from cadorder.heuristics import HeuristicId, OrderingCapError, suggest
@@ -63,7 +77,10 @@ class HarnessInputError(ValueError):
     """Malformed or inconsistent harness input files."""
 
 
-@dataclass(frozen=True)
+_choice_key = attrgetter("problem_id", "heuristic")
+
+
+@dataclass(frozen=True, slots=True)
 class ChoiceRow:
     problem_id: str
     heuristic: str
@@ -73,29 +90,42 @@ class ChoiceRow:
     status: str = "ok"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SavingsRow:
+    """One scored choice.  `cell_saving` and `time_saving` are percentages as
+    reduced (numerator, denominator) pairs with a positive denominator."""
+
     problem_id: str
     heuristic: str
     ordering: str
-    cell_saving_pct: Fraction
-    time_saving_pct: Fraction
+    cell_saving: tuple[int, int]
+    time_saving: tuple[int, int]
+
+    @property
+    def cell_saving_pct(self) -> Fraction:
+        return Fraction(*self.cell_saving)
+
+    @property
+    def time_saving_pct(self) -> Fraction:
+        return Fraction(*self.time_saving)
 
 
-def _fixed(x: Fraction, places: int) -> str:
-    """Exact fixed-point rendering with `places` decimals, ties to even."""
+def _fixed(num: int, den: int, places: int) -> str:
+    """Exact fixed-point rendering of num/den (den > 0) with `places`
+    decimals, ties to even."""
     unit = 10 ** places
-    scaled, rest = divmod(x.numerator * unit, x.denominator)
-    if 2 * rest > x.denominator or (2 * rest == x.denominator and scaled % 2):
-        scaled += 1
-    sign = "-" if scaled < 0 else ""
+    # floor(num / den * unit + 1/2) in one divmod; an exact tie that rounded
+    # up to an odd number steps back to the even one.
+    scaled, rest = divmod(2 * unit * num + den, 2 * den)
+    if not rest and scaled % 2:
+        scaled -= 1
     whole, frac = divmod(abs(scaled), unit)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    return f"{'-' if scaled < 0 else ''}{whole}.{str(frac).zfill(places)}"
 
 
 def format_pct(x: Fraction) -> str:
     """Exact one-decimal rendering (ties to even), e.g. Fraction(1,2) -> '0.5'."""
-    return _fixed(x, 1)
+    return _fixed(x.numerator, x.denominator, 1)
 
 
 # -- sweeping ------------------------------------------------------------------
@@ -132,7 +162,7 @@ def run_sweep(
                         "ok",
                     )
                 )
-    rows.sort(key=lambda r: (r.problem_id, r.heuristic))
+    rows.sort(key=_choice_key)
     return rows
 
 
@@ -174,9 +204,16 @@ def write_choices(rows: Iterable[ChoiceRow], path: str | Path) -> None:
 
 def read_choices(path: str | Path) -> list[ChoiceRow]:
     rows = []
+    seen: set[tuple[str, str]] = set()
     columns = ("problem_id", "heuristic", "ordering", "heuristic_time_s",
                "fallback_lex", "status")
     for lineno, rec in read_records(path, columns):
+        key = (rec["problem_id"], rec["heuristic"])
+        if key in seen:
+            raise HarnessInputError(
+                f"{path}:{lineno}: duplicate row for {key[0]} / {key[1]}"
+            )
+        seen.add(key)
         raw = rec["heuristic_time_s"]
         try:
             time_s = float(raw) if raw else 0.0
@@ -263,18 +300,32 @@ def _median(values: list[int], scale: int = 1) -> Fraction:
     return Fraction(vs[mid - 1] + vs[mid], 2 * scale)
 
 
-def _mean(values: list[Fraction]) -> Fraction:
-    """Exact mean, summed pairwise in a balanced tree of unreduced
-    numerator/denominator pairs and reduced once at the end.  A sequential
-    `Fraction` sum reduces at every step and costs time quadratic in the
-    length of the list."""
-    pairs = [(v.numerator, v.denominator) for v in values]
-    while len(pairs) > 1:
-        odd = [pairs[-1]] if len(pairs) % 2 else []
-        pairs = [(a * d + c * b, b * d)
-                 for (a, b), (c, d) in zip(pairs[0::2], pairs[1::2])] + odd
-    num, den = pairs[0]
-    return Fraction(num, den * len(values))
+_T = TypeVar("_T")
+
+
+def _tree_sum(values: Sequence[_T], plus: Callable[[_T, _T], _T]) -> _T:
+    """Exact sum of rationals, added pairwise in a balanced tree.  Added in
+    sequence, one operand grows at every step, which costs time quadratic in
+    the length of the list."""
+    while len(values) > 1:
+        odd = [values[-1]] if len(values) % 2 else []
+        values = [plus(x, y) for x, y in zip(values[0::2], values[1::2])] + odd
+    return values[0]
+
+
+def _add_pairs(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """p + q for (numerator, denominator) pairs, unreduced."""
+    return p[0] * q[1] + q[0] * p[1], p[1] * q[1]
+
+
+def _mean(total: tuple[int, int], count: int) -> Fraction:
+    """The mean of `count` values whose sum is the pair `total`."""
+    return Fraction(total[0], total[1] * count)
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def compute_savings(
@@ -292,16 +343,25 @@ def compute_savings(
     Returns (savings rows, aggregate rows, summary rows, exclusion notes).
     Aggregate rows are (group, heuristic, mean cell pct, mean time pct) with
     an "all" group last.  A missing cost row for a chosen ordering of a
-    fully-measured problem is an input error.
+    fully-measured problem, a repeated (problem, heuristic) choice, a
+    non-finite heuristic time and a scored problem whose group is named
+    "all" are input errors.
     """
     group_of = group_of or default_group_of
     scale = _time_scale(costs)
     savings: list[SavingsRow] = []
     exclusions: list[str] = []
-    # n, total cells and total ticks of the problem whose choices are being
-    # scored; choices are visited sorted by problem, so each is summed once.
-    totals_of = None
-    for row in sorted(choices, key=lambda r: (r.problem_id, r.heuristic)):
+    # Scored rows of each (group, heuristic), in the order they are scored.
+    members: dict[tuple[str, str], list[SavingsRow]] = {}
+    # The group, n, total cells and total ticks of the problem whose choices
+    # are being scored; choices are visited sorted by problem, so each is
+    # summed once.
+    totals_of = previous = None
+    for row in sorted(choices, key=_choice_key):
+        key = _choice_key(row)
+        if key == previous:
+            raise HarnessInputError(f"duplicate choice row for {key[0]} / {key[1]}")
+        previous = key
         if row.status != "ok":
             exclusions.append(
                 f"{row.problem_id}/{row.heuristic}: status {row.status}"
@@ -323,6 +383,12 @@ def compute_savings(
                 f"costs are missing ordering {row.ordering} of problem {row.problem_id}"
             )
         if totals_of != row.problem_id:
+            group = group_of(row.problem_id)
+            if group == "all":
+                raise HarnessInputError(
+                    f"problem {row.problem_id} is in a group named 'all', "
+                    "which is reserved for the overall means"
+                )
             n = len(per)
             total_cells = sum(c for c, _ in per.values())
             total_ticks = sum(_ticks(t, scale) for _, t in per.values())
@@ -332,40 +398,44 @@ def compute_savings(
                     "savings are undefined"
                 )
             totals_of = row.problem_id
+        try:
+            # The decimal that repr() prints, as an exact ratio: the rational
+            # Fraction(str(t)) gives, in under half its time.
+            hnum, hden = Decimal(repr(row.heuristic_time_s)).as_integer_ratio()
+        except (OverflowError, ValueError):
+            raise HarnessInputError(
+                f"{row.problem_id}/{row.heuristic}: heuristic time "
+                f"{row.heuristic_time_s!r} is not finite"
+            ) from None
         # 100 * (avg - chosen) / avg with avg = total / n, multiplied through
         # by n (and, for times, by the scale and the heuristic time's
         # denominator) so that only integers remain.
         cells, time_s = chosen
-        cell_pct = Fraction(100 * (total_cells - n * cells), total_cells)
-        heuristic_time = Fraction(str(row.heuristic_time_s))
-        hnum, hden = heuristic_time.numerator, heuristic_time.denominator
-        time_pct = Fraction(
-            100 * (hden * (total_ticks - n * _ticks(time_s, scale)) - n * scale * hnum),
-            hden * total_ticks,
+        scored = SavingsRow(
+            row.problem_id, row.heuristic, row.ordering,
+            _reduced(100 * (total_cells - n * cells), total_cells),
+            _reduced(100 * (hden * (total_ticks - n * _ticks(time_s, scale)) - n * scale * hnum),
+                     hden * total_ticks),
         )
-        savings.append(
-            SavingsRow(row.problem_id, row.heuristic, row.ordering, cell_pct, time_pct)
-        )
+        savings.append(scored)
+        members.setdefault((group, row.heuristic), []).append(scored)
 
-    by_group: dict[str, dict[str, list[SavingsRow]]] = {}
-    for s in savings:
-        by_group.setdefault(group_of(s.problem_id), {}).setdefault(s.heuristic, []).append(s)
-        by_group.setdefault("all", {}).setdefault(s.heuristic, []).append(s)
-    groups = sorted(g for g in by_group if g != "all") + (
-        ["all"] if "all" in by_group else []
-    )
+    # Each (group, heuristic) is summed once, as an unreduced pair.  The
+    # "all" block adds the group sums, each its group mean times its row
+    # count: Fraction addition reduces by the gcd of the two denominators,
+    # far cheaper than one gcd of the overall sum.
     aggregate = []
-    for g in groups:
-        for heuristic in sorted(by_group[g]):
-            rows = by_group[g][heuristic]
-            aggregate.append(
-                (
-                    g,
-                    heuristic,
-                    _mean([r.cell_saving_pct for r in rows]),
-                    _mean([r.time_saving_pct for r in rows]),
-                )
-            )
+    overall: dict[str, list[tuple[int, Fraction, Fraction]]] = {}
+    for (g, heuristic), rows in sorted(members.items()):
+        cell = _mean(_tree_sum([r.cell_saving for r in rows], _add_pairs), len(rows))
+        time_ = _mean(_tree_sum([r.time_saving for r in rows], _add_pairs), len(rows))
+        overall.setdefault(heuristic, []).append((len(rows), cell, time_))
+        aggregate.append((g, heuristic, cell, time_))
+    for heuristic, parts in sorted(overall.items()):
+        count = sum(n for n, _, _ in parts)
+        aggregate.append(("all", heuristic,
+                          _tree_sum([n * cell for n, cell, _ in parts], add) / count,
+                          _tree_sum([n * time_ for n, _, time_ in parts], add) / count))
 
     summary = _cost_summary(costs, group_of, scale)
     return savings, aggregate, summary, exclusions
@@ -422,7 +492,7 @@ def write_savings(rows: Iterable[SavingsRow], path: str | Path) -> None:
         path,
         ["problem_id", "heuristic", "ordering", "cell_saving_pct", "time_saving_pct"],
         ([r.problem_id, r.heuristic, r.ordering,
-          format_pct(r.cell_saving_pct), format_pct(r.time_saving_pct)] for r in rows),
+          _fixed(*r.cell_saving, 1), _fixed(*r.time_saving, 1)] for r in rows),
     )
 
 
@@ -441,5 +511,6 @@ def write_summary(rows: list[dict], path: str | Path) -> None:
     _write_csv(
         path,
         ["group", "problems", *stats],
-        ([r["group"], r["problems"], *(_fixed(r[k], 2) for k in stats)] for r in rows),
+        ([r["group"], r["problems"],
+          *(_fixed(r[k].numerator, r[k].denominator, 2) for k in stats)] for r in rows),
     )

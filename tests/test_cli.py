@@ -2,14 +2,19 @@
 
 import csv
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
 import pytest
+from oracles import naive_csv_texts, naive_savings
 
 from cadorder import __version__, cli
+from cadorder.harness import ChoiceRow, default_group_of
+from cadorder.heuristics import HeuristicId
 
 CIRCLE_PAIR = """\
 vars: x,y,z
@@ -220,6 +225,10 @@ def test_sweep_eval_pipeline(tmp_path, capsys):
     assert all(r["problems"] == "2" for r in summary)
 
 
+def test_repeated_heuristic_ids_are_swept_once():
+    assert cli._parse_heuristics("brown, sotd,brown") == [HeuristicId.BROWN, HeuristicId.SOTD]
+
+
 def test_sweep_rejects_unknown_heuristic(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert run(capsys, *gen_args(corpus))[0] == 0
@@ -316,6 +325,62 @@ def test_eval_missing_cost_rows_is_an_input_error(tmp_path, capsys):
         "--out", str(tmp_path / "savings.csv"),
     )
     assert code == 2 and "q-000" in err
+
+
+def test_eval_rejects_a_manifest_label_all(tmp_path, capsys):
+    # Scored, "all" would count p-000 twice in the overall mean: 33.3, not 25.0.
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("id,label\np-000,all\nq-000,other\n")
+    choices = tmp_path / "choices.csv"
+    choices.write_text(
+        "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,status\n"
+        "p-000,brown,x>y,0.0,false,ok\nq-000,brown,x>y,0.0,false,ok\n"
+    )
+    costs = tmp_path / "costs.csv"
+    costs.write_text(
+        "problem_id,ordering,cells,time_s\np-000,x>y,10,1.0\np-000,y>x,30,3.0\n"
+        "q-000,x>y,10,1.0\nq-000,y>x,10,1.0\n"
+    )
+    code, _, err = run(
+        capsys, "eval", "--costs", str(costs), "--choices", str(choices),
+        "--out", str(tmp_path / "s.csv"), "--manifest", str(manifest),
+    )
+    assert code == 2
+    assert err == f"error: {manifest}:2: label 'all' is reserved for the overall means\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_eval_at_study_size_matches_the_per_row_oracle(tmp_path, capsys):
+    """A seeded study shaped like the benchmark's: 300 problems in nine
+    groups, every ordering of three variables costed in milliseconds, and
+    twelve choices per problem with microsecond heuristic times."""
+    rng = random.Random(13)
+    orderings = [">".join(p) for p in permutations("xyz")]
+    heuristics = sorted(h.value for h in HeuristicId)
+    rows, choices = {}, []
+    cost_lines = ["problem_id,ordering,cells,time_s"]
+    choice_lines = ["problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,status"]
+    for k in range(300):
+        pid = f"{rng.choice('012')}{rng.choice('012')}-{k:05d}"
+        rows[pid] = {}
+        for o in orderings:
+            cells, ms = rng.randint(1, 20_000), rng.randint(1, 600_000)
+            rows[pid][o] = (cells, Fraction(ms, 1000))
+            cost_lines.append(f"{pid},{o},{cells},{ms // 1000}.{ms % 1000:03d}")
+        for h in heuristics:
+            o, t = rng.choice(orderings), f"0.{rng.randint(1, 999_999):06d}"
+            choices.append(ChoiceRow(pid, h, o, float(t), False))
+            choice_lines.append(f"{pid},{h},{o},{t},false,ok")
+    (tmp_path / "costs.csv").write_text("\n".join(cost_lines) + "\n")
+    (tmp_path / "choices.csv").write_text("\n".join(choice_lines) + "\n")
+    code, _, err = run(
+        capsys, "eval", "--costs", str(tmp_path / "costs.csv"),
+        "--choices", str(tmp_path / "choices.csv"), "--out", str(tmp_path / "savings.csv"),
+    )
+    assert code == 0 and err == ""
+    written = tuple((tmp_path / n).read_text()
+                    for n in ("savings.csv", "aggregate.csv", "summary.csv"))
+    assert written == naive_csv_texts(*naive_savings(rows, set(), choices, default_group_of))
 
 
 # ----------------------------------------------------------------- wiring

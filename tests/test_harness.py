@@ -1,6 +1,7 @@
 """Savings arithmetic, cost-table ingestion, and CSV round-trips."""
 
 import itertools
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -232,14 +233,61 @@ CHOICES_HEADER = "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,st
             "3: bad heuristic_time_s '-0.5'",
         ),
         (CHOICES_HEADER + "p1\n", "choices.csv:2: fewer fields"),
+        (
+            CHOICES_HEADER + "p,brown,x>y,0.5,false,ok\np,sotd,x>y,0.5,false,ok\n"
+            "p,brown,y>x,0.5,false,ok\n",
+            "choices.csv:4: duplicate row for p / brown",
+        ),
     ],
-    ids=["columns", "word", "nan", "inf", "negative", "short"],
+    ids=["columns", "word", "nan", "inf", "negative", "short", "duplicate"],
 )
 def test_read_choices_validates(tmp_path, text, match):
     path = tmp_path / "choices.csv"
     path.write_text(text)
     with pytest.raises(HarnessInputError, match=match):
         read_choices(path)
+
+
+def test_repeated_choice_rows_are_errors(tmp_path):
+    costs = load_costs(tmp_path)
+    # Scored on their own, these would read +50.0 and -50.0 and average 0.0.
+    both = [ChoiceRow("10-000", "brown", "x>y", 0.0, False),
+            ChoiceRow("10-000", "ndrr", "x>y", 0.0, False),
+            ChoiceRow("10-000", "brown", "y>x", 0.0, False)]
+    with pytest.raises(HarnessInputError, match="duplicate choice row for 10-000 / brown"):
+        compute_savings(costs, both)
+    failed = ChoiceRow("10-000", "brown", "", 0.0, False, "error: boom")
+    with pytest.raises(HarnessInputError, match="duplicate"):
+        compute_savings(costs, [failed, CHOICES[0]])
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_non_finite_heuristic_time_is_an_error(tmp_path, t):
+    costs = load_costs(tmp_path)
+    with pytest.raises(HarnessInputError, match="10-000/brown: heuristic time .* not finite"):
+        compute_savings(costs, [ChoiceRow("10-000", "brown", "x>y", t, False)])
+
+
+def test_all_block_adds_the_group_sums(tmp_path):
+    costs = load_costs(tmp_path)
+    labels = {"10-000": "a", "20-000": "b"}
+    _, aggregate, _, _ = compute_savings(costs, CHOICES[:1] + CHOICES[2:3], labels.get)
+    assert aggregate == [("a", "brown", 50, 50), ("b", "brown", 0, 0),
+                         ("all", "brown", 25, 25)]
+    labels["10-000"] = "all"
+    with pytest.raises(HarnessInputError, match="10-000 is in a group named 'all'"):
+        compute_savings(costs, CHOICES, labels.get)
+
+
+def test_savings_rows_hold_reduced_integer_ratios(tmp_path):
+    costs = load_costs(tmp_path)
+    savings, _, _, _ = compute_savings(costs, CHOICES)
+    row = savings[1]  # 10-000 ndrr: -50% cells, -75% time
+    assert (row.cell_saving, row.time_saving) == ((-50, 1), (-75, 1))
+    assert row.time_saving_pct == Fraction(-75)
+    with pytest.raises(AttributeError):
+        row.cell_saving = (0, 1)
+    assert not hasattr(row, "__dict__") and not hasattr(CHOICES[0], "__dict__")
 
 
 # ------------------------------------------------ differential: exact eval
@@ -251,7 +299,7 @@ TIMES = st.one_of(
     st.builds(lambda a, b: f"{a}/{b}", st.integers(0, 20), st.integers(1, 9)),
 )
 HEURISTIC_TIMES = st.one_of(
-    st.sampled_from([0.0, 0.005, 0.125, 0.5, 0.995, 2.0]),
+    st.sampled_from([0.0, 0.005, 0.125, 0.5, 0.995, 2.0, 1e-07, 5e-324, 1e+16]),
     st.floats(0, 5, allow_nan=False),
 )
 
