@@ -14,13 +14,8 @@ from cadorder.heuristics import (
     HeuristicReport,
     Measures,
     OrderingCapError,
-    brown_order,
-    greedy_sotd_order,
-    newh_order,
-    ordering_search,
     sotd,
     suggest,
-    triangular_order,
     variable_measures,
 )
 from cadorder.polys import (
@@ -60,17 +55,13 @@ __all__ = [
     "Relop",
     "Variable",
     "VariableOrdering",
-    "brown_order",
     "count_real_roots",
     "discriminant",
     "generate_corpus",
-    "greedy_sotd_order",
     "mccallum_project",
     "ndrr",
     "newh_omitted_set",
-    "newh_order",
     "newh_set",
-    "ordering_search",
     "parse_problem",
     "poly_gcd",
     "prem",
@@ -82,7 +73,6 @@ __all__ = [
     "sotd",
     "squarefree_part",
     "suggest",
-    "triangular_order",
     "ttiprojection",
     "variable_measures",
 ]

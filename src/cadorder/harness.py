@@ -240,7 +240,9 @@ class CostTable:
     """Per-problem CAD costs, one row per (problem, ordering).
 
     A problem with fewer rows than orderings (orderings are permutations of
-    the variable set appearing in its rows) is marked partial.
+    the variable set appearing in its rows) is marked partial.  An ordering
+    that repeats a variable, and a problem whose orderings name different
+    variable sets, are input errors.
     """
 
     def __init__(self):
@@ -250,6 +252,7 @@ class CostTable:
     @classmethod
     def load(cls, path: str | Path) -> "CostTable":
         table = cls()
+        variable_sets: dict[str, set[frozenset[str]]] = {}
         for lineno, rec in read_records(path, ("problem_id", "ordering", "cells", "time_s")):
             pid, ordering = rec["problem_id"], rec["ordering"]
             try:
@@ -264,14 +267,25 @@ class CostTable:
                 raise HarnessInputError(
                     f"{path}:{lineno}: duplicate row for {pid} / {ordering}"
                 )
+            names = ordering.split(">")
+            variables = frozenset(names)
+            if len(variables) != len(names):
+                raise HarnessInputError(
+                    f"{path}:{lineno}: ordering {ordering} repeats a variable"
+                )
             per[ordering] = (cells, time_s)
+            variable_sets.setdefault(pid, set()).add(variables)
         for pid, per in table.rows.items():
-            nvars = {len(o.split(">")) for o in per}
-            if len(nvars) != 1:
+            sets = variable_sets[pid]
+            if len({len(s) for s in sets}) != 1:
                 raise HarnessInputError(
                     f"{path}: problem {pid} mixes orderings over different variable counts"
                 )
-            if len(per) != math.factorial(nvars.pop()):
+            if len(sets) != 1:
+                raise HarnessInputError(
+                    f"{path}: problem {pid} has orderings over different variable sets"
+                )
+            if len(per) != math.factorial(len(sets.pop())):
                 table.partial.add(pid)
         return table
 

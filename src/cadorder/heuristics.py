@@ -1,6 +1,8 @@
 """The twelve variable-ordering heuristics.
 
-Two families:
+`suggest(problem, heuristic)` is the one way to run a heuristic: it looks
+the `HeuristicId` up in a dispatch table, and each family reads its settings
+from a table keyed by the id.  Two families:
 
 * positional heuristics order variables directly by per-variable measures
   (triangular-style m1/m2/m3 keys, brown-style m1/m4/m5 keys, greedy
@@ -29,8 +31,6 @@ from cadorder.formula import Problem, Variable, VariableOrdering
 from cadorder.polys import Polynomial
 from cadorder.projection import (
     Workspace,
-    _check_kind,
-    _workspace,
     newh_omitted_set,
     newh_set,
     project_cascade,
@@ -47,11 +47,6 @@ __all__ = [
     "MEASURES",
     "variable_measures",
     "sotd",
-    "triangular_order",
-    "brown_order",
-    "ordering_search",
-    "greedy_sotd_order",
-    "newh_order",
     "suggest",
 ]
 
@@ -100,8 +95,13 @@ class HeuristicReport:
     candidates: dict[VariableOrdering, dict[str, int]] = field(default_factory=dict)
     tiebreaks_used: tuple[str, ...] = ()
     elapsed: float = 0.0
-    fallback_lex: bool = False
     notes: tuple[str, ...] = ()
+
+    @property
+    def fallback_lex(self) -> bool:
+        """Whether some tie was left to declaration order ("lex", or newh's
+        "lex-first" for the greatest position)."""
+        return any(t.startswith("lex") for t in self.tiebreaks_used)
 
 
 def variable_measures(P: Iterable[Polynomial], v: int) -> Measures:
@@ -133,10 +133,16 @@ def sotd(*sets: Iterable[Polynomial]) -> int:
 # -- positional heuristics ----------------------------------------------------
 
 
-def _positional_order(
-    problem: Problem, hid: HeuristicId, fields: tuple[str, ...]
-) -> HeuristicReport:
-    """Sort by the named Measures fields ascending; smaller means greater."""
+# The Measures fields each positional heuristic sorts by, in key order.
+_POSITIONAL: dict[HeuristicId, tuple[str, ...]] = {
+    HeuristicId.TRIANGULAR: ("m1", "m2", "m3"),
+    HeuristicId.BROWN: ("m1", "m4", "m5"),
+}
+
+
+def _positional_order(problem: Problem, hid: HeuristicId) -> HeuristicReport:
+    """Sort by the id's Measures fields ascending; smaller means greater."""
+    fields = _POSITIONAL[hid]
     P = problem.defining_polynomials()
     keys = {}
     for v in problem.variables:
@@ -149,23 +155,12 @@ def _positional_order(
     return HeuristicReport(
         hid,
         VariableOrdering(tuple(ordered)),
-        fallback_lex=fallback,
         tiebreaks_used=("lex",) if fallback else (),
         notes=tuple(
             f"{v.name}: " + " ".join(f"{f}={x}" for f, x in zip(fields, k))
             for v, k in keys.items()
         ),
     )
-
-
-def triangular_order(problem: Problem) -> HeuristicReport:
-    """Sort by (m1, m2, m3) ascending; smaller measures mean greater."""
-    return _positional_order(problem, HeuristicId.TRIANGULAR, ("m1", "m2", "m3"))
-
-
-def brown_order(problem: Problem) -> HeuristicReport:
-    """Sort by (m1, m4, m5) ascending; smaller measures mean greater."""
-    return _positional_order(problem, HeuristicId.BROWN, ("m1", "m4", "m5"))
 
 
 # -- enumeration heuristics ---------------------------------------------------
@@ -200,127 +195,111 @@ MEASURES: dict[str, Callable[[Problem, tuple[frozenset[Polynomial], ...]], int]]
 }
 
 
-# The enumeration heuristics, keyed by (measure, tiebreak, kind).
-_SEARCHES: dict[tuple[str, str | None, str], HeuristicId] = {
-    ("sotd", None, "full"): HeuristicId.SOTD,
-    ("ndrr", None, "full"): HeuristicId.NDRR,
-    ("sotd", "ndrr", "full"): HeuristicId.SN,
-    ("ndrr", "sotd", "full"): HeuristicId.NS,
-    ("sotd", None, "tti"): HeuristicId.S_TTI,
-    ("ndrr", None, "tti"): HeuristicId.N_TTI,
+# The enumeration heuristics: (measure, tiebreak measure or None, kind).
+_SEARCHES: dict[HeuristicId, tuple[str, str | None, str]] = {
+    HeuristicId.SOTD: ("sotd", None, "full"),
+    HeuristicId.NDRR: ("ndrr", None, "full"),
+    HeuristicId.SN: ("sotd", "ndrr", "full"),
+    HeuristicId.NS: ("ndrr", "sotd", "full"),
+    HeuristicId.S_TTI: ("sotd", None, "tti"),
+    HeuristicId.N_TTI: ("ndrr", None, "tti"),
 }
 
 
-def ordering_search(
-    problem: Problem, measure: str, kind: str = "full", tiebreak: str | None = None
-) -> HeuristicReport:
+def _ordering_search(problem: Problem, hid: HeuristicId) -> HeuristicReport:
     """Evaluate one measure over every ordering's cascade, keep the minimum.
 
     With a tiebreak, orderings that tie on the measure are compared by the
     tiebreak measure, computed for those orderings only.  Remaining ties go
     to the candidate that enumerates first, i.e. lexicographically by
     declaration index sequence.  The tiebreak re-reads the tied cascades
-    through `project_cascade`, which returns the stages the first pass built:
-    the search runs inside a workspace, opened here when none is open.
+    through `project_cascade`, which returns the stages the first pass built
+    into the workspace `suggest` opened.
     """
-    hid = _SEARCHES.get((measure, tiebreak, kind))
-    if hid is None:
-        raise ValueError(
-            f"no heuristic minimizes {measure!r} with tiebreak {tiebreak!r} "
-            f"over {kind!r} cascades"
-        )
+    measure, tiebreak, kind = _SEARCHES[hid]
     measure_fn = MEASURES[measure]
-    with _workspace():
-        candidates: dict[VariableOrdering, dict[str, int]] = {
-            o: {measure: measure_fn(problem, project_cascade(problem, o, kind))}
-            for o in _all_orderings(problem)
-        }
-        best_val = min(vals[measure] for vals in candidates.values())
-        tied = [o for o, vals in candidates.items() if vals[measure] == best_val]
-        tiebreaks: tuple[str, ...] = ()
-        if tiebreak and len(tied) > 1:
-            tiebreaks = (tiebreak,)
-            tiebreak_fn = MEASURES[tiebreak]
-            for ordering in tied:
-                candidates[ordering][tiebreak] = tiebreak_fn(
-                    problem, project_cascade(problem, ordering, kind)
-                )
-            best_tb = min(candidates[o][tiebreak] for o in tied)
-            tied = [o for o in tied if candidates[o][tiebreak] == best_tb]
-    fallback = len(tied) > 1
-    if fallback:
+    candidates: dict[VariableOrdering, dict[str, int]] = {
+        o: {measure: measure_fn(problem, project_cascade(problem, o, kind))}
+        for o in _all_orderings(problem)
+    }
+    best_val = min(vals[measure] for vals in candidates.values())
+    tied = [o for o, vals in candidates.items() if vals[measure] == best_val]
+    tiebreaks: tuple[str, ...] = ()
+    if tiebreak and len(tied) > 1:
+        tiebreaks = (tiebreak,)
+        tiebreak_fn = MEASURES[tiebreak]
+        for ordering in tied:
+            candidates[ordering][tiebreak] = tiebreak_fn(
+                problem, project_cascade(problem, ordering, kind)
+            )
+        best_tb = min(candidates[o][tiebreak] for o in tied)
+        tied = [o for o in tied if candidates[o][tiebreak] == best_tb]
+    if len(tied) > 1:
         tiebreaks = tiebreaks + ("lex",)
     return HeuristicReport(
         hid,
         tied[0],
         candidates=candidates,
-        fallback_lex=fallback,
         tiebreaks_used=tiebreaks,
     )
 
 
-_GREEDY = {"full": HeuristicId.GS, "tti": HeuristicId.GS_TTI}
-
-
-def greedy_sotd_order(problem: Problem, kind: str = "full") -> HeuristicReport:
+def _greedy_sotd_order(problem: Problem, hid: HeuristicId) -> HeuristicReport:
     """Allocate the next-greatest variable as the one whose single projection
     step produces the set with the smallest sum of total degrees.  Each step
     is the `projection_stage` of the chosen prefix plus one candidate, so it
-    is the stage an enumerated cascade with that prefix holds.  The search
-    runs inside a workspace, opened here when none is open, so the chosen
-    prefix's stages are built once."""
-    _check_kind(kind)
+    is the stage an enumerated cascade with that prefix holds; the workspace
+    `suggest` opened builds the chosen prefix's stages once.  `gs-tti` takes
+    the reduced first projection, `gs` the full one."""
+    kind = "tti" if hid is HeuristicId.GS_TTI else "full"
     remaining = list(problem.variables)
     chosen: list[Variable] = []
     fallback = False
     notes: list[str] = []
-    with _workspace():
-        while len(remaining) > 1:
-            best_var = None
-            best_val = None
-            tied = 0
-            step_vals = []
-            prefix = tuple(v.index for v in chosen)
-            for v in remaining:
-                val = sotd(projection_stage(problem, kind, prefix + (v.index,)))
-                step_vals.append(f"{v.name}:{val}")
-                if best_val is None or val < best_val:
-                    best_var, best_val, tied = v, val, 1
-                elif val == best_val:
-                    tied += 1
-            if tied > 1:
-                fallback = True
-            notes.append(f"step {len(chosen) + 1}: " + " ".join(step_vals))
-            chosen.append(best_var)
-            remaining.remove(best_var)
+    while len(remaining) > 1:
+        best_var = None
+        best_val = None
+        tied = 0
+        step_vals = []
+        prefix = tuple(v.index for v in chosen)
+        for v in remaining:
+            val = sotd(projection_stage(problem, kind, prefix + (v.index,)))
+            step_vals.append(f"{v.name}:{val}")
+            if best_val is None or val < best_val:
+                best_var, best_val, tied = v, val, 1
+            elif val == best_val:
+                tied += 1
+        if tied > 1:
+            fallback = True
+        notes.append(f"step {len(chosen) + 1}: " + " ".join(step_vals))
+        chosen.append(best_var)
+        remaining.remove(best_var)
     chosen.extend(remaining)
     return HeuristicReport(
-        _GREEDY[kind],
+        hid,
         VariableOrdering(tuple(chosen)),
-        fallback_lex=fallback,
         tiebreaks_used=("lex",) if fallback else (),
         notes=tuple(notes),
     )
 
 
-def newh_order(problem: Problem, extended: bool = False) -> HeuristicReport:
+def _newh_order(problem: Problem, hid: HeuristicId) -> HeuristicReport:
     """Equational-constraint strategy.
 
     Stage 1 ranks variables by max degree over the input polynomials
     (ascending; a tie for the greatest position is broken by declaration
     order before anything else).  Stage 2 compares still-tied variables by
     their maximum degree in the special projection set taken with respect to
-    the fixed greatest variable; the extended form adds a third stage over
-    the complementary (omitted) set.
+    the fixed greatest variable; `newh-ext` adds a third stage over the
+    complementary (omitted) set.
     """
     P = problem.defining_polynomials()
     m1 = {v: variable_measures(P, v.index).m1 for v in problem.variables}
     by_m1 = sorted(problem.variables, key=lambda v: (m1[v], v.index))
     v1 = by_m1[0]
     rest = by_m1[1:]
-    first_tie = len([v for v in problem.variables if m1[v] == m1[v1]]) > 1
     tiebreaks: list[str] = []
-    if first_tie:
+    if len([v for v in problem.variables if m1[v] == m1[v1]]) > 1:
         tiebreaks.append("lex-first")
     notes = [f"m1: " + " ".join(f"{v.name}={m1[v]}" for v in problem.variables)]
 
@@ -337,7 +316,7 @@ def newh_order(problem: Problem, extended: bool = False) -> HeuristicReport:
         notes.append(
             "special set degrees: " + " ".join(f"{v.name}={d2[v]}" for v in rest)
         )
-        if extended:
+        if hid is HeuristicId.NEWH_EXT:
             still_tied = any(
                 (m1[a], d2[a]) == (m1[b], d2[b])
                 for a, b in itertools.combinations(rest, 2)
@@ -355,16 +334,11 @@ def newh_order(problem: Problem, extended: bool = False) -> HeuristicReport:
         return (m1[v], d2.get(v, 0), d3.get(v, 0), v.index)
 
     rest_sorted = sorted(rest, key=key)
-    residual_tie = any(
-        key(a)[:-1] == key(b)[:-1] for a, b in zip(rest_sorted, rest_sorted[1:])
-    )
-    fallback = first_tie or residual_tie
-    if residual_tie:
+    if any(key(a)[:-1] == key(b)[:-1] for a, b in zip(rest_sorted, rest_sorted[1:])):
         tiebreaks.append("lex")
     return HeuristicReport(
-        HeuristicId.NEWH_EXT if extended else HeuristicId.NEWH,
+        hid,
         VariableOrdering(tuple([v1] + rest_sorted)),
-        fallback_lex=fallback,
         tiebreaks_used=tuple(tiebreaks),
         notes=tuple(notes),
     )
@@ -373,20 +347,11 @@ def newh_order(problem: Problem, extended: bool = False) -> HeuristicReport:
 # -- dispatch ------------------------------------------------------------------
 
 
-def _search(measure: str, tiebreak: str | None, kind: str) -> Callable[[Problem], HeuristicReport]:
-    # looks ordering_search up per call, so a rebound module attribute (the
-    # benchmark's tracer) sees dispatched searches
-    return lambda p: ordering_search(p, measure, kind, tiebreak)
-
-
-_DISPATCH: dict[HeuristicId, Callable[[Problem], HeuristicReport]] = {
-    HeuristicId.TRIANGULAR: triangular_order,
-    HeuristicId.BROWN: brown_order,
-    HeuristicId.GS: lambda p: greedy_sotd_order(p, "full"),
-    HeuristicId.GS_TTI: lambda p: greedy_sotd_order(p, "tti"),
-    HeuristicId.NEWH: lambda p: newh_order(p, extended=False),
-    HeuristicId.NEWH_EXT: lambda p: newh_order(p, extended=True),
-    **{hid: _search(*key) for key, hid in _SEARCHES.items()},
+_DISPATCH: dict[HeuristicId, Callable[[Problem, HeuristicId], HeuristicReport]] = {
+    **dict.fromkeys(_POSITIONAL, _positional_order),
+    **dict.fromkeys(_SEARCHES, _ordering_search),
+    **dict.fromkeys((HeuristicId.GS, HeuristicId.GS_TTI), _greedy_sotd_order),
+    **dict.fromkeys((HeuristicId.NEWH, HeuristicId.NEWH_EXT), _newh_order),
 }
 
 
@@ -401,6 +366,6 @@ def suggest(problem: Problem, heuristic: HeuristicId | str) -> HeuristicReport:
     hid = HeuristicId(heuristic) if not isinstance(heuristic, HeuristicId) else heuristic
     start = time.perf_counter()
     with Workspace():
-        report = _DISPATCH[hid](problem)
+        report = _DISPATCH[hid](problem, hid)
     report.elapsed = time.perf_counter() - start
     return report

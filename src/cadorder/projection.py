@@ -28,12 +28,12 @@ of eliminated variable indices)``, so a greedy step and a cascade with the
 same prefix share one stage.  A squarefree part is also stored under
 itself.  `heuristics.suggest` opens one workspace per heuristic call and
 drops it when the heuristic returns or raises, so nothing is shared between
-heuristics or problems.  `ordering_search`, `greedy_sotd_order` and
-`realroots.ndrr`, called with no workspace open, open one for the call
-(`_workspace`); outside all of these, nothing is stored.  On a
-miss the lookup calls `squarefree_part`, `resultant`, `discriminant`,
-`mccallum_project` and `ttiprojection` as module attributes, so a wrapper
-bound over them sees exactly the work that was done.
+heuristics or problems.  `realroots.ndrr` opens one for its call when none
+is open (`_workspace`).  Nothing else opens one, and outside a workspace
+nothing is stored.  On a miss the lookup calls `squarefree_part`,
+`resultant`, `discriminant`, `mccallum_project` and `ttiprojection` as
+module attributes, so a wrapper bound over them sees exactly the work that
+was done.
 """
 
 from __future__ import annotations

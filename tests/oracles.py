@@ -340,6 +340,13 @@ def naive_ndrr(polys) -> int:
     return total
 
 
+# The heuristic id whose search naive_search(problem, measure, kind) redoes.
+SEARCH_IDS = {
+    ("sotd", "full"): "sotd", ("ndrr", "full"): "ndrr",
+    ("sotd", "tti"): "s-tti", ("ndrr", "tti"): "n-tti",
+}
+
+
 def naive_search(problem, measure: str, kind: str):
     """First permutation (by declaration-index order) minimizing the measure."""
     best = None

@@ -19,18 +19,12 @@ from cadorder import cli
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable
 from cadorder.generator import GenParams, generate_corpus, random_polynomial
 from cadorder.harness import ChoiceRow, CostTable, compute_savings, write_aggregate
-from cadorder.heuristics import (
-    HeuristicId,
-    brown_order,
-    ordering_search,
-    suggest,
-    triangular_order,
-)
+from cadorder.heuristics import HeuristicId, suggest
 from cadorder.polys import Polynomial, resultant
 from cadorder.projection import mccallum_project, normalize_set, project_cascade
 from cadorder.realroots import count_real_roots
 
-from oracles import dense_coeffs, descartes_root_count, naive_search, sylvester_resultant
+from oracles import SEARCH_IDS, dense_coeffs, descartes_root_count, naive_search, sylvester_resultant
 
 LABELS = ["00", "10", "20", "11", "12", "22"]
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -180,12 +174,11 @@ def test_criterion_05_searches_match_naive_recomputation():
     problems = [p for corpus in corpora for _, p in corpus]
     assert len(problems) >= 50
     for p in problems:
-        for measure in ("sotd", "ndrr"):
-            for kind in ("full", "tti"):
-                names, value = naive_search(p, measure, kind)
-                r = ordering_search(p, measure, kind)
-                assert r.choice.names == names
-                assert r.candidates[r.choice][measure] == value
+        for (measure, kind), hid in SEARCH_IDS.items():
+            names, value = naive_search(p, measure, kind)
+            r = suggest(p, hid)
+            assert r.choice.names == names
+            assert r.candidates[r.choice][measure] == value
 
 
 def test_criterion_06_degenerate_equivalences(corpus60, reports):
@@ -311,5 +304,5 @@ def test_criterion_09_worked_example_fixtures():
             QFF((Constraint(y * z - 2, Relop.EQ),)),
         ),
     )
-    assert brown_order(problem).choice.names == ("z", "y", "x")
-    assert triangular_order(problem).choice.names == ("z", "y", "x")
+    assert suggest(problem, "brown").choice.names == ("z", "y", "x")
+    assert suggest(problem, "triangular").choice.names == ("z", "y", "x")

@@ -207,6 +207,14 @@ def test_zero_average_cost_is_an_error(tmp_path):
             "problem_id,ordering,cells,time_s\np,x>y,1,1.0\np,x>y>z,1,1.0\n",
             "mixes orderings",
         ),
+        (
+            "problem_id,ordering,cells,time_s\np1,x>y,10,1.0\np1,x>x,30,3.0\n",
+            "bad.csv:3: ordering x>x repeats a variable",
+        ),
+        (
+            "problem_id,ordering,cells,time_s\np1,x>y,10,1.0\np1,y>z,30,3.0\n",
+            "bad.csv: problem p1 has orderings over different variable sets",
+        ),
         ("problem_id,ordering,cells,time_s\np,x>y,1,1.0\np,y>x,1\n", "bad.csv:3: fewer fields"),
         ("problem_id,ordering,cells,time_s\n\np,x>y,1,1.0\np,y>x,ten,1.0\n", "bad.csv:4: bad numeric"),
     ],

@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_cascade, naive_search, naive_sotd, _naive_full_step, _naive_tti_step
+from oracles import SEARCH_IDS, naive_cascade, naive_search, naive_sotd, _naive_full_step, _naive_tti_step
 from cadorder import projection
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable
 from cadorder.generator import GenParams, random_problem
@@ -13,13 +13,9 @@ from cadorder.heuristics import (
     HeuristicId,
     Measures,
     OrderingCapError,
-    brown_order,
-    greedy_sotd_order,
-    newh_order,
-    ordering_search,
+    _DISPATCH,
     sotd,
     suggest,
-    triangular_order,
     variable_measures,
 )
 from cadorder.polys import Polynomial
@@ -30,6 +26,7 @@ Z = Polynomial.var(3, 2)
 VARS = (Variable("x", 0), Variable("y", 1), Variable("z", 2))
 
 ALL_IDS = list(HeuristicId)
+GREEDY_IDS = {"full": "gs", "tti": "gs-tti"}
 
 
 def make_problem(*qff_specs, variables=VARS):
@@ -82,7 +79,7 @@ def test_sotd_values():
 
 
 def test_triangular_fixture():
-    r = triangular_order(MEASURE_PROBLEM)
+    r = suggest(MEASURE_PROBLEM, "triangular")
     assert r.id is HeuristicId.TRIANGULAR
     assert r.choice.names == ("z", "y", "x")
     assert not r.fallback_lex and r.tiebreaks_used == ()
@@ -90,7 +87,7 @@ def test_triangular_fixture():
 
 
 def test_brown_fixture():
-    r = brown_order(MEASURE_PROBLEM)
+    r = suggest(MEASURE_PROBLEM, "brown")
     assert r.choice.names == ("z", "y", "x")
     assert not r.fallback_lex
 
@@ -99,25 +96,25 @@ def test_brown_m1_decides():
     vars2 = (Variable("x", 0), Variable("y", 1))
     x, y = Polynomial.var(2, 0), Polynomial.var(2, 1)
     p = make_problem([(x**3, Relop.LT), (y, Relop.GT)], variables=vars2)
-    assert brown_order(p).choice.names == ("y", "x")
+    assert suggest(p, "brown").choice.names == ("y", "x")
 
 
 def test_absent_variable_ranks_greatest():
     # measures of an absent variable are all zero, which sorts first
     p = make_problem([(X**3, Relop.LT), (Y, Relop.GT)])
-    assert brown_order(p).choice.names == ("z", "y", "x")
-    assert triangular_order(p).choice.names == ("z", "y", "x")
+    assert suggest(p, "brown").choice.names == ("z", "y", "x")
+    assert suggest(p, "triangular").choice.names == ("z", "y", "x")
 
 
 def test_symmetric_input_falls_back_to_declaration_order():
     vars2 = (Variable("x", 0), Variable("y", 1))
     x, y = Polynomial.var(2, 0), Polynomial.var(2, 1)
     p = make_problem([(x**2 + y**2, Relop.LT)], variables=vars2)
-    for fn in (triangular_order, brown_order):
-        r = fn(p)
+    for hid in ("triangular", "brown"):
+        r = suggest(p, hid)
         assert r.choice.names == ("x", "y")
         assert r.fallback_lex and r.tiebreaks_used == ("lex",)
-    g = greedy_sotd_order(p)
+    g = suggest(p, "gs")
     assert g.choice.names == ("x", "y") and g.fallback_lex
 
 
@@ -125,8 +122,8 @@ def test_single_variable_problem():
     vars1 = (Variable("x", 0),)
     x = Polynomial.var(1, 0)
     p = make_problem([(x**2 - 1, Relop.LT)], variables=vars1)
-    assert triangular_order(p).choice.names == ("x",)
-    r = ordering_search(p, "ndrr")
+    assert suggest(p, "triangular").choice.names == ("x",)
+    r = suggest(p, "ndrr")
     assert r.choice.names == ("x",) and len(r.candidates) == 1
     assert r.candidates[r.choice]["ndrr"] == 2
 
@@ -136,7 +133,7 @@ def test_single_variable_problem():
 
 def test_ordering_search_enumerates_and_minimizes():
     p = gen("11", seed=3)
-    r = ordering_search(p, "sotd")
+    r = suggest(p, "sotd")
     assert len(r.candidates) == 6
     assert r.choice in r.candidates
     vals = [t["sotd"] for t in r.candidates.values()]
@@ -145,7 +142,7 @@ def test_ordering_search_enumerates_and_minimizes():
 
 def test_ordering_search_tie_takes_first_by_declaration_indices():
     p = gen("11", seed=7)
-    r = ordering_search(p, "sotd")
+    r = suggest(p, "sotd")
     ties = [o for o, t in r.candidates.items() if t["sotd"] == r.candidates[r.choice]["sotd"]]
     assert ties == [r.choice, p.ordering("y>z>x")]
     assert r.choice == p.ordering("y>x>z")
@@ -159,8 +156,8 @@ def test_ordering_search_cap():
     f = Polynomial.var(n, 0) * Polynomial.var(n, 8) - 1
     p = Problem(variables, (QFF((Constraint(f, Relop.LT),)),))
     with pytest.raises(OrderingCapError):
-        ordering_search(p, "sotd")
-    assert triangular_order(p).choice  # positional heuristics stay usable
+        suggest(p, "sotd")
+    assert suggest(p, "triangular").choice  # positional heuristics stay usable
 
 
 def test_search_matches_naive_recomputation():
@@ -170,22 +167,19 @@ def test_search_matches_naive_recomputation():
         gen("00", seed=23, max_tdeg=3, terms=2, coeff_bound=7),
     ]
     for p in cases:
-        for measure in ("sotd", "ndrr"):
-            for kind in ("full", "tti"):
-                names, value = naive_search(p, measure, kind)
-                r = ordering_search(p, measure, kind)
-                assert r.choice.names == names
-                assert r.candidates[r.choice][measure] == value
+        for (measure, kind), hid in SEARCH_IDS.items():
+            names, value = naive_search(p, measure, kind)
+            r = suggest(p, hid)
+            assert r.choice.names == names
+            assert r.candidates[r.choice][measure] == value
 
 
 def test_tti_searches_degenerate_to_full_without_ecs():
     p = gen("00", seed=11)
-    assert ordering_search(p, "sotd", "tti").choice == ordering_search(p, "sotd").choice
-    assert ordering_search(p, "sotd", "tti").id is HeuristicId.S_TTI
-    with pytest.raises(ValueError):
-        ordering_search(p, "sotd", "tti", tiebreak="ndrr")  # no such heuristic
-    assert ordering_search(p, "ndrr", "tti").choice == ordering_search(p, "ndrr").choice
-    assert greedy_sotd_order(p, "tti").choice == greedy_sotd_order(p).choice
+    assert suggest(p, "s-tti").choice == suggest(p, "sotd").choice
+    assert suggest(p, "s-tti").id is HeuristicId.S_TTI
+    assert suggest(p, "n-tti").choice == suggest(p, "ndrr").choice
+    assert suggest(p, "gs-tti").choice == suggest(p, "gs").choice
 
 
 # ------------------------------------------------------------- tie-breaks
@@ -193,9 +187,9 @@ def test_tti_searches_degenerate_to_full_without_ecs():
 
 def test_sn_resolves_sotd_tie_with_ndrr():
     p = gen("20", seed=21)
-    plain = ordering_search(p, "sotd")
+    plain = suggest(p, "sotd")
     assert plain.fallback_lex and plain.choice == p.ordering("x>y>z")
-    r = ordering_search(p, "sotd", tiebreak="ndrr")
+    r = suggest(p, "sn")
     assert r.id is HeuristicId.SN
     assert r.choice == p.ordering("x>z>y")
     assert r.tiebreaks_used == ("ndrr",)
@@ -207,9 +201,9 @@ def test_sn_resolves_sotd_tie_with_ndrr():
 
 def test_ns_resolves_ndrr_tie_with_sotd():
     p = gen("20", seed=2)
-    plain = ordering_search(p, "ndrr")
+    plain = suggest(p, "ndrr")
     assert plain.fallback_lex and plain.choice == p.ordering("x>y>z")
-    r = ordering_search(p, "ndrr", tiebreak="sotd")
+    r = suggest(p, "ns")
     assert r.id is HeuristicId.NS
     assert r.choice == p.ordering("y>x>z")
     assert r.tiebreaks_used == ("sotd",)
@@ -220,7 +214,7 @@ def test_ns_resolves_ndrr_tie_with_sotd():
 
 def test_combined_total_tie_falls_back_to_lex():
     p = gen("11", seed=7)
-    r = ordering_search(p, "sotd", tiebreak="ndrr")
+    r = suggest(p, "sn")
     assert r.choice == p.ordering("y>x>z")
     assert r.fallback_lex
     assert r.tiebreaks_used == ("ndrr", "lex")
@@ -228,9 +222,9 @@ def test_combined_total_tie_falls_back_to_lex():
 
 def test_combined_without_primary_tie_equals_plain_search():
     p = gen("20", seed=3)
-    plain = ordering_search(p, "sotd")
+    plain = suggest(p, "sotd")
     assert not plain.fallback_lex
-    r = ordering_search(p, "sotd", tiebreak="ndrr")
+    r = suggest(p, "sn")
     assert r.choice == plain.choice
     assert r.tiebreaks_used == ()
 
@@ -266,18 +260,16 @@ def test_greedy_matches_step_by_step_replay(kind):
     for seed in (31, 32, 33):
         p = gen("21", seed=seed)
         expected = replay_greedy(p, kind)
-        r = greedy_sotd_order(p, kind)
+        r = suggest(p, GREEDY_IDS[kind])
         assert r.choice.names == expected
         assert len(r.notes) == 2 and r.notes[0].startswith("step 1:")
-    with pytest.raises(ValueError, match="unknown projection kind"):
-        greedy_sotd_order(p, "bogus")
 
 
 def test_greedy_two_variables_is_a_single_decision():
     vars2 = (Variable("x", 0), Variable("y", 1))
     x, y = Polynomial.var(2, 0), Polynomial.var(2, 1)
     p = make_problem([(x**2 + y - 1, Relop.EQ)], variables=vars2)
-    r = greedy_sotd_order(p)
+    r = suggest(p, "gs")
     assert len(r.notes) == 1
     assert r.notes[0].count(":") == 3  # "step 1:" plus one value per variable
 
@@ -300,12 +292,12 @@ def test_newh_two_qff_fixture_degrades_to_lex():
         [(NX * NY - NZ, Relop.EQ), (NX + NZ, Relop.GT)],
         variables=NEWH_VARS,
     )
-    r = newh_order(p)
+    r = suggest(p, "newh")
     assert r.id is HeuristicId.NEWH
     assert r.choice.names == ("z", "y", "x")
     assert r.fallback_lex
     assert r.tiebreaks_used == ("special-set-degree", "lex")
-    ext = newh_order(p, extended=True)
+    ext = suggest(p, "newh-ext")
     assert ext.id is HeuristicId.NEWH_EXT
     assert ext.choice.names == ("z", "y", "x")
     assert ext.fallback_lex
@@ -318,7 +310,7 @@ def test_newh_special_set_splits_the_tie():
         [(NX**2 + NY**2 * NZ + NY**2, Relop.EQ)],
         variables=NEWH_VARS,
     )
-    r = newh_order(p)
+    r = suggest(p, "newh")
     assert r.choice.names == ("z", "x", "y")
     assert not r.fallback_lex
     assert r.tiebreaks_used == ("special-set-degree",)
@@ -326,7 +318,7 @@ def test_newh_special_set_splits_the_tie():
 
 def test_newh_stage_one_total_order_matches_m1_ranking():
     p = make_problem([(X**3 + Y**2 + Z, Relop.LT)])
-    r = newh_order(p)
+    r = suggest(p, "newh")
     assert r.choice.names == ("z", "y", "x")
     assert r.tiebreaks_used == ()
     assert not r.fallback_lex
@@ -336,7 +328,7 @@ def test_newh_first_position_tie_is_lexicographic():
     vars2 = (Variable("x", 0), Variable("y", 1))
     x, y = Polynomial.var(2, 0), Polynomial.var(2, 1)
     p = make_problem([(x * y - 1, Relop.EQ)], variables=vars2)
-    r = newh_order(p)
+    r = suggest(p, "newh")
     assert r.choice.names[0] == "x"
     assert r.fallback_lex
     assert "lex-first" in r.tiebreaks_used
@@ -344,7 +336,7 @@ def test_newh_first_position_tie_is_lexicographic():
 
 def test_newh_fully_symmetric_problem():
     p = make_problem([(X**2 + Y**2 - 1, Relop.LT)])
-    r = newh_order(p, extended=True)
+    r = suggest(p, "newh-ext")
     assert r.choice.names == ("z", "x", "y")  # z absent: m1=0 ranks first
     assert r.fallback_lex
 
@@ -352,32 +344,22 @@ def test_newh_fully_symmetric_problem():
 # ------------------------------------------------------- report contracts
 
 
+def run_direct(p, hid):
+    """One heuristic through the dispatch table, with no workspace of its own."""
+    hid = HeuristicId(hid)
+    return _DISPATCH[hid](p, hid)
+
+
 def test_suggest_dispatch_and_timing():
     p = gen("21", seed=41)
     r = suggest(p, "s-tti")
     assert r.id is HeuristicId.S_TTI
-    assert r.choice == ordering_search(p, "sotd", "tti").choice
+    assert r.choice == run_direct(p, "s-tti").choice
     assert r.elapsed > 0
-    assert suggest(p, HeuristicId.BROWN).choice == brown_order(p).choice
+    assert suggest(p, HeuristicId.BROWN).choice == suggest(p, "brown").choice
+    assert set(_DISPATCH) == set(HeuristicId)
     with pytest.raises(ValueError):
         suggest(p, "fastest")
-
-
-# Each heuristic called directly, outside any projection workspace.
-DIRECT = {
-    HeuristicId.TRIANGULAR: triangular_order,
-    HeuristicId.BROWN: brown_order,
-    HeuristicId.SOTD: lambda p: ordering_search(p, "sotd"),
-    HeuristicId.NDRR: lambda p: ordering_search(p, "ndrr"),
-    HeuristicId.SN: lambda p: ordering_search(p, "sotd", tiebreak="ndrr"),
-    HeuristicId.NS: lambda p: ordering_search(p, "ndrr", tiebreak="sotd"),
-    HeuristicId.GS: lambda p: greedy_sotd_order(p, "full"),
-    HeuristicId.S_TTI: lambda p: ordering_search(p, "sotd", "tti"),
-    HeuristicId.N_TTI: lambda p: ordering_search(p, "ndrr", "tti"),
-    HeuristicId.GS_TTI: lambda p: greedy_sotd_order(p, "tti"),
-    HeuristicId.NEWH: newh_order,
-    HeuristicId.NEWH_EXT: lambda p: newh_order(p, extended=True),
-}
 
 
 def report_fields(r):
@@ -393,7 +375,7 @@ def report_fields(r):
 def test_workspace_changes_no_report(nvars, label, seed):
     p = gen(label, seed, n_vars=nvars, max_tdeg=2, terms=2)
     for hid in ALL_IDS:
-        direct = DIRECT[hid](p)
+        direct = run_direct(p, hid)
         assert projection._OPEN.get() is None
         assert report_fields(suggest(p, hid)) == report_fields(direct), hid
 
@@ -438,50 +420,24 @@ def test_greedy_reuses_the_stages_of_a_search_in_the_same_workspace(kind, monkey
 
         monkeypatch.setattr(projection, name, counted)
     with projection.Workspace():
-        ordering_search(p, "sotd", kind)
+        run_direct(p, SEARCH_IDS["sotd", kind])
         assert calls
         calls.clear()
-        r = greedy_sotd_order(p, kind)
+        r = run_direct(p, GREEDY_IDS[kind])
         assert calls == []
         a = projection.project_cascade(p, p.ordering("x>y>z"), kind)
         b = projection.project_cascade(p, p.ordering("x>z>y"), kind)
         assert a[0] is b[0]
         assert calls == []
-    assert r.choice == greedy_sotd_order(p, kind).choice
+    assert r.choice == suggest(p, GREEDY_IDS[kind]).choice
     if kind == "full":  # only full cascades have a tiebreak heuristic
         p = gen("20", seed=2)
         with projection.Workspace():
-            ordering_search(p, "ndrr")
+            run_direct(p, "ndrr")
             calls.clear()
-            r = ordering_search(p, "ndrr", tiebreak="sotd")
+            r = run_direct(p, "ns")
         assert r.tiebreaks_used == ("sotd",)
         assert calls == []
-
-
-@pytest.mark.parametrize("kind", ["full", "tti"])
-@pytest.mark.parametrize(
-    "search", [greedy_sotd_order, lambda p, kind: ordering_search(p, "sotd", kind)],
-    ids=["greedy", "sotd"],
-)
-def test_a_direct_search_projects_as_often_as_inside_a_workspace(search, kind, monkeypatch):
-    # a search called with no workspace open opens its own, so it builds
-    # each stage once instead of once per candidate that extends it
-    p = gen("21", seed=43, n_vars=4, max_tdeg=2, terms=2)
-    calls = []
-    for name in ("mccallum_project", "ttiprojection"):
-        def counted(*args, op=getattr(projection, name)):
-            calls.append(args)
-            return op(*args)
-
-        monkeypatch.setattr(projection, name, counted)
-    direct = search(p, kind)
-    assert projection._OPEN.get() is None
-    n_direct = len(calls)
-    calls.clear()
-    with projection.Workspace():
-        inside = search(p, kind)
-    assert n_direct == len(calls) > 0
-    assert report_fields(direct) == report_fields(inside)
 
 
 def test_choices_are_permutations_and_replays_are_identical():

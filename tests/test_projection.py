@@ -5,7 +5,6 @@ import pytest
 from oracles import _naive_tti_step, naive_cascade, oracle_discriminant, sylvester_resultant
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable, VariableOrdering
 from cadorder.generator import GenParams, random_problem
-from cadorder.heuristics import greedy_sotd_order
 from cadorder.polys import Polynomial, sign_normalize
 import cadorder.projection as projection
 from cadorder.projection import (
@@ -157,8 +156,6 @@ def test_unknown_kind_is_rejected_before_any_work(nvars):
     p = make_problem([(x**2 - 1, Relop.EQ)], variables=variables)
     with pytest.raises(ValueError, match="unknown projection kind 'lazard'"):
         project_cascade(p, VariableOrdering(variables[::-1]), kind="lazard")
-    with pytest.raises(ValueError, match="unknown projection kind 'lazard'"):
-        greedy_sotd_order(p, "lazard")
 
 
 @pytest.mark.parametrize("prefix", [(), (2, 2), (5,), (-1,), (0, 3)])
