@@ -3,12 +3,16 @@
 A problem is a declared variable list plus a sequence of quantifier-free
 formulas (QFFs), each a conjunction of polynomial constraints.  Constraint
 polynomials are stored sign-normalized; when normalization flips the sign,
-the relation is mirrored so the constraint keeps its meaning.
+the relation is mirrored so the constraint keeps its meaning.  A problem is
+checked when it is built: Constraint, QFF and Problem raise ValueError on a
+malformed part, so a Problem's variables have distinct identifier names,
+numbered by position, and its text from ``print_problem`` parses back.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from cadorder.polys import Polynomial, sign_normalize
@@ -21,6 +25,9 @@ __all__ = [
     "Problem",
     "VariableOrdering",
 ]
+
+# A variable name, as the .prob format writes it.
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -39,10 +46,6 @@ class Relop(enum.Enum):
     LE = "<="
     GT = ">"
     GE = ">="
-
-    @property
-    def mirrored(self) -> "Relop":
-        return _MIRROR[self]
 
 
 _MIRROR = {
@@ -68,7 +71,7 @@ class Constraint:
         normalized = sign_normalize(self.poly)
         if normalized is not self.poly:
             object.__setattr__(self, "poly", normalized)
-            object.__setattr__(self, "relop", self.relop.mirrored)
+            object.__setattr__(self, "relop", _MIRROR[self.relop])
 
     @property
     def is_equational(self) -> bool:
@@ -86,10 +89,6 @@ class QFF:
         if not self.constraints:
             raise ValueError("a QFF needs at least one constraint")
 
-    @property
-    def ec_count(self) -> int:
-        return sum(1 for c in self.constraints if c.is_equational)
-
     def equational_constraints(self) -> list[Constraint]:
         return [c for c in self.constraints if c.is_equational]
 
@@ -103,10 +102,27 @@ class Problem:
     qffs: tuple[QFF, ...]
 
     def __post_init__(self):
-        # Deliberately permissive: validate() reports violations so callers
-        # (the parser, the CLI) can turn them into input errors.
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "qffs", tuple(self.qffs))
+        n = len(self.variables)
+        if not n:
+            raise ValueError("no variables declared")
+        if len(set(self.names)) != n:
+            raise ValueError("duplicate variable names")
+        for i, v in enumerate(self.variables):
+            if v.index != i:
+                raise ValueError(f"variable '{v.name}' has index {v.index}, expected {i}")
+            if not _IDENTIFIER.fullmatch(v.name):
+                raise ValueError(f"invalid variable name {v.name!r}")
+        if not self.qffs:
+            raise ValueError("no QFFs")
+        for qi, qff in enumerate(self.qffs, start=1):
+            for c in qff.constraints:
+                if c.poly.nvars != n:
+                    raise ValueError(
+                        f"QFF {qi}: polynomial uses {c.poly.nvars} variable slots,"
+                        f" {n} declared"
+                    )
 
     # -- structure ----------------------------------------------------------
 
@@ -118,54 +134,15 @@ class Problem:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def variable_by_name(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(f"undeclared variable '{name}'")
-
-    def validate(self) -> list[str]:
-        """Structural invariant check; returns a list of violations."""
-        out: list[str] = []
-        if not self.variables:
-            out.append("no variables declared")
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            out.append("duplicate variable names")
-        for i, v in enumerate(self.variables):
-            if v.index != i:
-                out.append(f"variable '{v.name}' has index {v.index}, expected {i}")
-            if not v.name or any(ch.isspace() for ch in v.name):
-                out.append(f"invalid variable name {v.name!r}")
-        if not self.qffs:
-            out.append("no QFFs")
-        n = len(self.variables)
-        for qi, qff in enumerate(self.qffs, start=1):
-            if not qff.constraints:
-                out.append(f"QFF {qi} is empty")
-            for c in qff.constraints:
-                if c.poly.nvars != n:
-                    out.append(
-                        f"QFF {qi}: polynomial uses {c.poly.nvars} variable slots,"
-                        f" {n} declared"
-                    )
-                elif c.poly.is_zero():
-                    out.append(f"QFF {qi}: zero constraint polynomial")
-        return out
-
     def system_type(self) -> str:
         """EC count of each QFF in sequence order, e.g. '21'."""
         digits = []
         for qff in self.qffs:
-            k = qff.ec_count
+            k = len(qff.equational_constraints())
             if k > 9:
                 raise ValueError("system type digits only cover up to 9 ECs per QFF")
             digits.append(str(k))
         return "".join(digits)
-
-    def system_type_sorted(self) -> str:
-        """Order-insensitive form of system_type (digits sorted ascending)."""
-        return "".join(sorted(self.system_type()))
 
     def defining_polynomials(self) -> frozenset[Polynomial]:
         """The deduplicated, sign-normalized set of constraint polynomials."""
@@ -173,26 +150,21 @@ class Problem:
 
     # -- orderings ------------------------------------------------------------
 
-    def ordering(self, spec) -> "VariableOrdering":
-        """Build an ordering from names-greatest-first ('z>y>x'), a sequence of
-        names, or a sequence of Variables."""
-        if isinstance(spec, VariableOrdering):
-            seq = spec.variables
-        elif isinstance(spec, str):
-            seq = tuple(self.variable_by_name(t.strip()) for t in spec.split(">"))
-        else:
-            seq = tuple(
-                v if isinstance(v, Variable) else self.variable_by_name(v) for v in spec
-            )
+    def ordering(self, spec: str) -> "VariableOrdering":
+        """The ordering written greatest-first, e.g. 'z>y>x'."""
+        by_name = {v.name: v for v in self.variables}
+        seq = []
+        for token in spec.split(">"):
+            name = token.strip()
+            if name not in by_name:
+                raise KeyError(f"undeclared variable '{name}'")
+            seq.append(by_name[name])
         if sorted(v.index for v in seq) != list(range(self.nvars)):
             raise ValueError(
                 f"ordering {'>'.join(v.name for v in seq)} is not a permutation "
                 "of the declared variables"
             )
-        for v in seq:
-            if self.variables[v.index] != v:
-                raise ValueError(f"variable {v} does not belong to this problem")
-        return VariableOrdering(seq)
+        return VariableOrdering(tuple(seq))
 
 
 @dataclass(frozen=True)

@@ -126,11 +126,14 @@ def random_problem(label: str, params: GenParams, index: int = 0) -> Problem:
 def generate_corpus(
     types: list[str], count: int, params: GenParams
 ) -> list[tuple[str, Problem]]:
-    """``count`` problems per system type, in (types, index) order."""
+    """``count`` problems per system type, in (types, index) order.  Each
+    type is given once: a repeat would draw the same problems again."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    for label in types:
+    for i, label in enumerate(types):
         _check_label(label)
+        if label in types[:i]:
+            raise ValueError(f"system type {label!r} is given more than once")
     return [
         (label, random_problem(label, params, index=i))
         for label in types

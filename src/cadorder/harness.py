@@ -174,16 +174,19 @@ def read_records(
     blank lines are counted.  A missing column, or a row with fewer fields
     than the header, is a HarnessInputError naming the file (and line)."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         expected = set(columns)
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+        if header is None or not expected.issubset(header):
             raise HarnessInputError(f"{path}: expected columns {sorted(expected)}")
-        for rec in reader:
-            if None in rec.values():
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            if len(row) < len(header):
                 raise HarnessInputError(
                     f"{path}:{reader.line_num}: fewer fields than the header"
                 )
-            yield reader.line_num, rec
+            yield reader.line_num, dict(zip(header, row))
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:

@@ -45,6 +45,14 @@ def _check_index(index: int, nvars: int) -> None:
         raise ValueError(f"variable index {index} out of range for {nvars} slots")
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int; a value that is not an integer, like 1.5, is an error."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return i
+
+
 class Polynomial:
     """Immutable sparse polynomial in ``nvars`` integer-indexed variables."""
 
@@ -58,10 +66,13 @@ class Polynomial:
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise ValueError(f"exponent tuple {e} does not have {nvars} slots")
-                if any(x < 0 for x in e):
+                exps = tuple(map(int, e))
+                if exps != tuple(e):
+                    raise ValueError(f"exponent tuple {e} holds a value that is not an integer")
+                if min(exps) < 0:
                     raise ValueError(f"negative exponent in {e}")
                 if c:
-                    clean[tuple(e)] = int(c)
+                    clean[exps] = _integer(c, "coefficient")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -85,11 +96,12 @@ class Polynomial:
     def const(cls, nvars: int, c: int) -> "Polynomial":
         if c == 0:
             return cls.zero(nvars)
-        return cls._raw(nvars, {(0,) * nvars: int(c)})
+        return cls._raw(nvars, {(0,) * nvars: _integer(c, "coefficient")})
 
     @classmethod
     def var(cls, nvars: int, index: int, power: int = 1) -> "Polynomial":
         _check_index(index, nvars)
+        power = _integer(power, "exponent")
         if power < 0:
             raise ValueError("negative power")
         if power == 0:

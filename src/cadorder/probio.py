@@ -22,14 +22,13 @@ from fractions import Fraction
 from math import lcm
 
 from cadorder import _kernel_py as _k
-from cadorder.formula import QFF, Constraint, Problem, Relop, Variable
+from cadorder.formula import _IDENTIFIER, QFF, Constraint, Problem, Relop, Variable
 from cadorder.polys import Polynomial
 
 __all__ = ["ProblemFormatError", "parse_problem", "print_problem"]
 
-_RELOPS = ("!=", "<=", ">=", "=", "<", ">")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"\s*(?:(?P<num>\d+)|(?P<ident>{_IDENTIFIER.pattern})"
     r"|(?P<relop>!=|<=|>=|=|<|>)|(?P<op>[-+*/^(),]))"
 )
 
@@ -192,13 +191,10 @@ def _parse_constraint(tokens, names, nvars, end_col) -> Constraint:
 
     lhs = run(lhs_tokens, tokens[i][2])
     rhs = run(rhs_tokens, end_col)
-    poly = _clear_denominators(_k.ksub(lhs, rhs), nvars)
-    if poly.is_zero():
-        raise _LineError(tokens[0][2], "constraint polynomial simplifies to zero")
-    return Constraint(poly, relop)
+    return Constraint(_clear_denominators(_k.ksub(lhs, rhs), nvars), relop)
 
 
-_HEADER_RE = re.compile(r"^(\s*)([A-Za-z_][A-Za-z0-9_]*)\s*:")
+_HEADER_RE = re.compile(rf"^(\s*)({_IDENTIFIER.pattern})\s*:")
 
 
 def parse_problem(text: str) -> Problem:
@@ -231,7 +227,7 @@ def parse_problem(text: str) -> Problem:
                     name = chunk.strip()
                     at = col + len(chunk) - len(chunk.lstrip())
                     col += len(chunk) + 1
-                    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name or ""):
+                    if not _IDENTIFIER.fullmatch(name):
                         raise _LineError(at, f"invalid variable name {name!r}")
                     if name in names:
                         raise _LineError(at, f"duplicate variable '{name}'")
@@ -265,7 +261,7 @@ def parse_problem(text: str) -> Problem:
                         constraints.append(
                             _parse_constraint(group, names, len(variables), group_end)
                         )
-                    except ValueError as exc:  # zero constraint, etc.
+                    except ValueError as exc:  # Constraint rejects a zero polynomial
                         raise _LineError(group[0][2], str(exc)) from exc
                 qffs.append(QFF(tuple(constraints)))
             else:
@@ -279,11 +275,10 @@ def parse_problem(text: str) -> Problem:
         elif not qffs:
             errors.append((0, 0, "no qff lines"))
     if not errors:
-        problem = Problem(tuple(variables), tuple(qffs))
-        for msg in problem.validate():
-            errors.append((0, 0, msg))
-        if not errors:
-            return problem
+        try:
+            return Problem(tuple(variables), tuple(qffs))
+        except ValueError as exc:
+            errors.append((0, 0, str(exc)))
     raise ProblemFormatError(errors)
 
 

@@ -182,6 +182,16 @@ def test_gen_rejects_bad_input(tmp_path, capsys, flag, value):
     assert code == 2 and err.startswith("error: ")
 
 
+def test_gen_rejects_a_repeated_type(tmp_path, capsys):
+    # a repeat would write problems identical to the first copy's
+    out = tmp_path / "c"
+    code, _, err = run(capsys, "gen", "--types", "10,10", "--count", "1", "--seed", "3",
+                       "--out", str(out))
+    assert code == 2
+    assert err == "error: system type '10' is given more than once\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------- sweep and eval
 
 

@@ -1,5 +1,7 @@
 """Problem model: constraints, QFFs, system types, orderings."""
 
+import re
+
 import pytest
 
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable, VariableOrdering
@@ -34,17 +36,15 @@ def test_constraint_sign_normalizes_and_mirrors():
 
 def test_qff_counts_equational_constraints():
     q = QFF((Constraint(X, Relop.EQ), Constraint(Y, Relop.LT), Constraint(Z, Relop.EQ)))
-    assert q.ec_count == 2
     assert [c.poly for c in q.equational_constraints()] == [X, Z]
     assert q.polynomials() == [X, Y, Z]
     with pytest.raises(ValueError):
         QFF(())
 
 
-def test_system_type_in_sequence_and_sorted():
+def test_system_type_counts_ecs_in_sequence():
     p = make_problem([(X, Relop.EQ), (Y, Relop.LT)], [(Z, Relop.LT), (Y, Relop.GT)])
     assert p.system_type() == "10"
-    assert p.system_type_sorted() == "01"
     p2 = make_problem([(X, Relop.EQ), (Y, Relop.EQ)], [(Z, Relop.EQ), (Y - 1, Relop.EQ)])
     assert p2.system_type() == "22"
 
@@ -57,25 +57,36 @@ def test_defining_polynomials_deduplicate():
     assert p.defining_polynomials() == frozenset({X + Y, Z})
 
 
-def test_validate_reports_violations_instead_of_raising():
-    p = Problem((), ())
-    issues = p.validate()
-    assert "no variables declared" in issues
-    assert "no QFFs" in issues
-    dup = Problem((Variable("x", 0), Variable("x", 1)), ())
-    assert any("duplicate" in s for s in dup.validate())
-    misnumbered = Problem((Variable("x", 1),), ())
-    assert any("expected 0" in s for s in misnumbered.validate())
-    wrong_slots = Problem(
-        (Variable("x", 0),),
-        (QFF((Constraint(Polynomial.var(2, 0), Relop.EQ),)),),
-    )
-    assert any("slots" in s for s in wrong_slots.validate())
-    ok = make_problem([(X, Relop.EQ), (Y, Relop.LT)])
-    assert ok.validate() == []
+ONE_QFF = (QFF((Constraint(X, Relop.EQ),)),)
 
 
-def test_ordering_from_string_names_and_variables():
+@pytest.mark.parametrize(
+    "variables, qffs, message",
+    [
+        ((), (QFF((Constraint(Polynomial.var(1, 0), Relop.EQ),)),), "no variables declared"),
+        ((Variable("x", 0), Variable("y", 1), Variable("x", 2)), ONE_QFF,
+         "duplicate variable names"),
+        ((Variable("x", 0), Variable("y", 2), Variable("z", 1)), ONE_QFF,
+         "variable 'y' has index 2, expected 1"),
+        ((Variable("x", 0), Variable("a>b", 1), Variable("z", 2)), ONE_QFF,
+         "invalid variable name 'a>b'"),
+        ((Variable("x", 0), Variable("y z", 1), Variable("1z", 2)), ONE_QFF,
+         "invalid variable name 'y z'"),
+        ((Variable("x", 0), Variable("", 1), Variable("z", 2)), ONE_QFF,
+         "invalid variable name ''"),
+        (VARS, (), "no QFFs"),
+        ((Variable("x", 0),), (QFF((Constraint(Polynomial.var(2, 0), Relop.EQ),)),),
+         "QFF 1: polynomial uses 2 variable slots, 1 declared"),
+    ],
+    ids=["no-variables", "duplicate", "misnumbered", "relop-in-name", "space-in-name",
+         "empty-name", "no-qffs", "slots"],
+)
+def test_problem_rejects_violations_at_construction(variables, qffs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Problem(variables, qffs)
+
+
+def test_ordering_from_text():
     p = make_problem([(X, Relop.EQ), (Y, Relop.LT)])
     o = p.ordering("z>y>x")
     assert isinstance(o, VariableOrdering)
@@ -83,9 +94,7 @@ def test_ordering_from_string_names_and_variables():
     assert o.indices == (2, 1, 0)
     assert o.names == ("z", "y", "x")
     assert len(o) == 3
-    assert p.ordering(["x", "y", "z"]).indices == (0, 1, 2)
-    assert p.ordering(o) == o
-    assert p.ordering(tuple(VARS)).indices == (0, 1, 2)
+    assert p.ordering(" x > y>z ").indices == (0, 1, 2)
 
 
 def test_ordering_rejects_non_permutations():
@@ -98,6 +107,3 @@ def test_ordering_rejects_non_permutations():
         p.ordering("w>y>x")
     with pytest.raises(ValueError):
         VariableOrdering((VARS[0], VARS[0]))
-    foreign = Variable("q", 1)
-    with pytest.raises(ValueError):
-        p.ordering((VARS[0], foreign, VARS[2]))

@@ -71,11 +71,10 @@ def test_system_types_and_constraint_shape():
     for label in TYPES:
         p = random_problem(label, params, 0)
         assert p.system_type() == label
-        assert p.validate() == []
         assert len(p.qffs) == len(label)
         for digit, qff in zip(label, p.qffs):
             assert len(qff.constraints) == 2
-            assert qff.ec_count == int(digit)
+            assert len(qff.equational_constraints()) == int(digit)
             for c in qff.constraints[int(digit):]:
                 assert c.relop in (Relop.LT, Relop.GT)
             for c in qff.constraints:
@@ -122,6 +121,8 @@ def test_label_and_count_validation():
             random_problem(bad, params)
     with pytest.raises(ValueError):
         generate_corpus(["10"], 0, params)
+    with pytest.raises(ValueError, match="system type '10' is given more than once"):
+        generate_corpus(["10", "21", "10"], 1, params)
     with pytest.raises(ValueError):
         GenParams(n_vars=0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Savings arithmetic, cost-table ingestion, and CSV round-trips."""
 
+import csv
 import itertools
 import math
 import tempfile
@@ -20,6 +21,7 @@ from cadorder.harness import (
     default_group_of,
     format_pct,
     read_choices,
+    read_records,
     run_sweep,
     write_aggregate,
     write_choices,
@@ -254,6 +256,21 @@ def test_read_choices_validates(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(HarnessInputError, match=match):
         read_choices(path)
+
+
+def test_read_records_reads_as_dict_reader(tmp_path):
+    # blank lines skipped, extra fields ignored, a repeated column's last
+    # value kept, and a quoted line break counted in the line number
+    text = 'a,b,a\n1,2,3\n\n\n4,5,6,7\n"8\n9",10,11\n'
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        expected = [(reader.line_num, {k: v for k, v in rec.items() if k is not None})
+                    for rec in reader]
+    assert list(read_records(path, ("a", "b"))) == expected
+    assert expected == [(2, {"a": "3", "b": "2"}), (5, {"a": "6", "b": "5"}),
+                        (7, {"a": "11", "b": "10"})]
 
 
 def test_repeated_choice_rows_are_errors(tmp_path):

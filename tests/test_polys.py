@@ -1,6 +1,7 @@
 """Polynomial core: arithmetic, conventions, gcd/squarefree, resultants."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,30 @@ def test_constructor_drops_zero_coefficients_and_validates():
         Polynomial(2, {(-1, 0): 1})
     with pytest.raises(ValueError):
         Polynomial(0)
+
+
+@pytest.mark.parametrize("terms", [
+    {(1,): 1.5}, {(1,): Fraction(3, 2)}, {(1.5,): 1}, {(1,): "2"},
+], ids=["float-coefficient", "fraction-coefficient", "float-exponent", "text-coefficient"])
+def test_constructor_rejects_values_that_are_not_integers(terms):
+    # int() would truncate 1.5 and 3/2 to 1, and 1.5 used to be kept as an exponent
+    with pytest.raises(ValueError, match="not an integer"):
+        Polynomial(1, terms)
+
+
+def test_const_and_var_reject_values_that_are_not_integers():
+    with pytest.raises(ValueError, match="coefficient 1.5 is not an integer"):
+        Polynomial.const(1, 1.5)
+    with pytest.raises(ValueError, match="exponent 1.5 is not an integer"):
+        Polynomial.var(1, 0, 1.5)
+    assert Polynomial.var(1, 0, 2.0).terms == {(2,): 1}
+
+
+def test_constructor_stores_integral_values_as_int():
+    p = Polynomial(1, {(2.0,): Fraction(6, 2), (1,): 4.0})
+    assert p.terms == {(2,): 3, (1,): 4}
+    assert all(type(x) is int for e, c in p.terms.items() for x in (*e, c))
+    assert p.to_str() == "3*x0^2+4*x0"
 
 
 def test_polynomials_are_immutable_hashable_values():
