@@ -14,6 +14,7 @@ import argparse
 import csv
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from cadorder import __version__
 from cadorder.formula import Problem
@@ -145,14 +146,24 @@ def _parse_heuristics(spec: str) -> list[HeuristicId]:
     return list(dict.fromkeys(out))  # a repeated id would repeat choice rows
 
 
+def _manifest(path: str | Path, column: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, id, `column` value) for each row of a manifest; an id
+    listed twice is a HarnessInputError naming its second line."""
+    seen: set[str] = set()
+    for lineno, (pid, value) in read_records(path, ("id", column)):
+        if pid in seen:
+            raise HarnessInputError(f"{path}:{lineno}: repeated id {pid}")
+        seen.add(pid)
+        yield lineno, pid, value
+
+
 def _load_corpus(corpus_dir: str) -> list[tuple[str, Problem]]:
     root = Path(corpus_dir)
     if not root.is_dir():
         raise _InputError(f"{corpus_dir} is not a directory")
     manifest = root / "manifest.csv"
     if manifest.exists():
-        entries = [(rec["id"], root / rec["path"])
-                   for _, rec in read_records(manifest, ("id", "path"))]
+        entries = [(pid, root / rel) for _, pid, rel in _manifest(manifest, "path")]
     else:
         entries = [(p.stem, p) for p in sorted(root.glob("*.prob"))]
     if not entries:
@@ -185,12 +196,12 @@ def _group_lookup(manifest_path: str | None):
     if manifest_path is None:
         return default_group_of
     labels = {}
-    for lineno, rec in read_records(manifest_path, ("id", "label")):
-        if rec["label"] == "all":
+    for lineno, pid, label in _manifest(manifest_path, "label"):
+        if label == "all":
             raise HarnessInputError(
                 f"{manifest_path}:{lineno}: label 'all' is reserved for the overall means"
             )
-        labels[rec["id"]] = rec["label"]
+        labels[pid] = label
 
     def group_of(pid: str) -> str:
         return labels.get(pid) or default_group_of(pid)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from cadorder.formula import QFF, Constraint, Problem, Relop, Variable
@@ -68,12 +69,15 @@ def item_seed(seed: int, label: str, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _monomial_pool(n_vars: int, max_tdeg: int) -> list[tuple[int, ...]]:
-    pool = [
+@lru_cache(maxsize=8)
+def _monomial_pool(n_vars: int, max_tdeg: int) -> tuple[tuple[int, ...], ...]:
+    """Every exponent tuple of total degree <= max_tdeg, sorted.  Memoized
+    for the life of the process, one entry for each of the eight most
+    recently used (n_vars, max_tdeg) pairs; the pool is a tuple, so the
+    callers that share it cannot change it."""
+    return tuple(sorted(
         e for e in product(range(max_tdeg + 1), repeat=n_vars) if sum(e) <= max_tdeg
-    ]
-    pool.sort()
-    return pool
+    ))
 
 
 def random_polynomial(params: GenParams, rng: random.Random) -> Polynomial:

@@ -14,9 +14,10 @@ call), and nothing shared with other heuristics or problems.
 
 The eval is exact and runs on integers until a caller reads a value:
 
-* cost-table times become integer ticks at one scale (the lcm of the table's
-  time denominators), and each problem's totals are taken once;
-* a heuristic time is read once as an exact decimal ratio of its float;
+* each time is read once, as an integer ratio (a plain decimal is its digits
+  over a power of ten); cost-table times become integer ticks at one scale
+  (the lcm of the table's time denominators), and each problem's totals are
+  taken once; a heuristic time is the exact decimal ratio of its float;
 * a `SavingsRow` holds each saving as a reduced (numerator, denominator)
   pair, and its `cell_saving_pct`/`time_saving_pct` properties build a
   `Fraction` only when read;
@@ -46,9 +47,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
-from operator import add, attrgetter
+from operator import add, attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -142,43 +142,37 @@ def run_sweep(
             try:
                 report = suggest(problem, hid)
             except OrderingCapError:
-                rows.append(
-                    ChoiceRow(problem_id, hid.value, "", 0.0, False,
-                              "ordering-cap-exceeded")
-                )
+                row = ChoiceRow(problem_id, hid.value, "", 0.0, False, "ordering-cap-exceeded")
             except Exception as exc:  # keep sweeping, report the failure
-                rows.append(
-                    ChoiceRow(problem_id, hid.value, "", 0.0, False,
-                              f"error: {exc}")
-                )
+                row = ChoiceRow(problem_id, hid.value, "", 0.0, False, f"error: {exc}")
             else:
-                rows.append(
-                    ChoiceRow(
-                        problem_id,
-                        hid.value,
-                        str(report.choice),
-                        report.elapsed,
-                        report.fallback_lex,
-                        "ok",
-                    )
-                )
+                row = ChoiceRow(problem_id, hid.value, str(report.choice), report.elapsed,
+                                report.fallback_lex)
+            rows.append(row)
     rows.sort(key=_choice_key)
     return rows
 
 
 def read_records(
     path: str | Path, columns: Iterable[str]
-) -> Iterator[tuple[int, dict[str, str]]]:
-    """(line number, record) for each row of a CSV file whose header names
-    at least `columns`; the line number is the row's last physical line, so
-    blank lines are counted.  A missing column, or a row with fewer fields
-    than the header, is a HarnessInputError naming the file (and line)."""
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """(line number, tuple of the `columns` values in the order asked) for
+    each non-blank row of a CSV file whose header names at least `columns`
+    (a repeated name is read from its last place); the line number is the
+    row's last physical line, so blank lines are counted.  A missing column,
+    or a row with fewer fields than the header, is a HarnessInputError naming
+    the file (and line)."""
+    columns = tuple(columns)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         expected = set(columns)
         if header is None or not expected.issubset(header):
             raise HarnessInputError(f"{path}: expected columns {sorted(expected)}")
+        place = {name: i for i, name in enumerate(header)}
+        at = [place[c] for c in columns]
+        # itemgetter returns a bare value for one index, so fewer go by hand
+        pick = itemgetter(*at) if len(at) > 1 else lambda row: tuple(row[i] for i in at)
         for row in reader:
             if not row:  # a blank line
                 continue
@@ -186,7 +180,7 @@ def read_records(
                 raise HarnessInputError(
                     f"{path}:{reader.line_num}: fewer fields than the header"
                 )
-            yield reader.line_num, dict(zip(header, row))
+            yield reader.line_num, pick(row)
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
@@ -210,14 +204,12 @@ def read_choices(path: str | Path) -> list[ChoiceRow]:
     seen: set[tuple[str, str]] = set()
     columns = ("problem_id", "heuristic", "ordering", "heuristic_time_s",
                "fallback_lex", "status")
-    for lineno, rec in read_records(path, columns):
-        key = (rec["problem_id"], rec["heuristic"])
+    for lineno, (pid, heuristic, ordering, raw, fallback_lex, status) in read_records(
+            path, columns):
+        key = (pid, heuristic)
         if key in seen:
-            raise HarnessInputError(
-                f"{path}:{lineno}: duplicate row for {key[0]} / {key[1]}"
-            )
+            raise HarnessInputError(f"{path}:{lineno}: duplicate row for {pid} / {heuristic}")
         seen.add(key)
-        raw = rec["heuristic_time_s"]
         try:
             time_s = float(raw) if raw else 0.0
         except ValueError:
@@ -227,45 +219,57 @@ def read_choices(path: str | Path) -> list[ChoiceRow]:
                 f"{path}:{lineno}: bad heuristic_time_s {raw!r} "
                 "(want a finite non-negative number of seconds)"
             )
-        rows.append(
-            ChoiceRow(
-                rec["problem_id"], rec["heuristic"], rec["ordering"],
-                time_s, rec["fallback_lex"] == "true", rec["status"],
-            )
-        )
+        rows.append(ChoiceRow(pid, heuristic, ordering, time_s, fallback_lex == "true", status))
     return rows
 
 
 # -- cost tables -----------------------------------------------------------------
 
 
+def _ratio(text: str) -> tuple[int, int]:
+    """`text` as an exact (numerator, denominator) pair, denominator positive.
+    ASCII digits with at most one decimal point are split at the point, the
+    digits over a power of ten, unreduced; any other spelling is read by
+    `Fraction`, so it is accepted, or rejected with ValueError or
+    ZeroDivisionError, exactly as `Fraction(text)` would be."""
+    whole, _, frac = text.partition(".")
+    digits = whole + frac
+    if digits.isascii() and digits.isdigit():
+        return int(digits), 10 ** len(frac)
+    return Fraction(text).as_integer_ratio()
+
+
 class CostTable:
     """Per-problem CAD costs, one row per (problem, ordering).
 
-    A problem with fewer rows than orderings (orderings are permutations of
-    the variable set appearing in its rows) is marked partial.  An ordering
-    that repeats a variable, and a problem whose orderings name different
-    variable sets, are input errors.
+    `rows` maps a problem to {ordering: (cells, ticks)}: a time in seconds is
+    ticks / `scale`, the lcm of the denominators of the table's times.  A
+    problem with fewer rows than orderings (orderings are permutations of the
+    variable set appearing in its rows) is marked partial.  An ordering that
+    repeats a variable, and a problem whose orderings name different variable
+    sets, are input errors.
     """
 
     def __init__(self):
-        self.rows: dict[str, dict[str, tuple[int, Fraction]]] = {}
+        self.rows: dict[str, dict[str, tuple[int, int]]] = {}
         self.partial: set[str] = set()
+        self.scale = 1
 
     @classmethod
     def load(cls, path: str | Path) -> "CostTable":
         table = cls()
         variable_sets: dict[str, set[frozenset[str]]] = {}
-        for lineno, rec in read_records(path, ("problem_id", "ordering", "cells", "time_s")):
-            pid, ordering = rec["problem_id"], rec["ordering"]
+        read: dict[str, dict[str, tuple[int, int, int]]] = {}  # (cells, num, den)
+        for lineno, (pid, ordering, cells, time_s) in read_records(
+                path, ("problem_id", "ordering", "cells", "time_s")):
             try:
-                cells = int(rec["cells"])
-                time_s = Fraction(rec["time_s"])
+                cells = int(cells)
+                num, den = _ratio(time_s)
             except (ValueError, ZeroDivisionError) as exc:
                 raise HarnessInputError(f"{path}:{lineno}: bad numeric field") from exc
-            if cells < 0 or time_s < 0:
+            if cells < 0 or num < 0:
                 raise HarnessInputError(f"{path}:{lineno}: negative cost")
-            per = table.rows.setdefault(pid, {})
+            per = read.setdefault(pid, {})
             if ordering in per:
                 raise HarnessInputError(
                     f"{path}:{lineno}: duplicate row for {pid} / {ordering}"
@@ -276,9 +280,10 @@ class CostTable:
                 raise HarnessInputError(
                     f"{path}:{lineno}: ordering {ordering} repeats a variable"
                 )
-            per[ordering] = (cells, time_s)
+            per[ordering] = (cells, num, den)
             variable_sets.setdefault(pid, set()).add(variables)
-        for pid, per in table.rows.items():
+        table.scale = scale = math.lcm(*{d for per in read.values() for *_, d in per.values()})
+        for pid, per in read.items():
             sets = variable_sets[pid]
             if len({len(s) for s in sets}) != 1:
                 raise HarnessInputError(
@@ -290,6 +295,7 @@ class CostTable:
                 )
             if len(per) != math.factorial(len(sets.pop())):
                 table.partial.add(pid)
+            table.rows[pid] = {o: (c, num * (scale // den)) for o, (c, num, den) in per.items()}
         return table
 
 
@@ -297,15 +303,6 @@ def default_group_of(problem_id: str) -> str:
     """Group key used for aggregation: the id prefix before the first dash."""
     head = problem_id.split("-", 1)[0]
     return head if head else problem_id
-
-
-def _time_scale(costs: CostTable) -> int:
-    """Ticks per second: the lcm of every time denominator in the table."""
-    return math.lcm(*{t.denominator for per in costs.rows.values() for _, t in per.values()})
-
-
-def _ticks(t: Fraction, scale: int) -> int:
-    return t.numerator * (scale // t.denominator)
 
 
 def _median(values: list[int], scale: int = 1) -> Fraction:
@@ -365,7 +362,7 @@ def compute_savings(
     "all" are input errors.
     """
     group_of = group_of or default_group_of
-    scale = _time_scale(costs)
+    scale = costs.scale
     savings: list[SavingsRow] = []
     exclusions: list[str] = []
     # Scored rows of each (group, heuristic), in the order they are scored.
@@ -380,19 +377,13 @@ def compute_savings(
             raise HarnessInputError(f"duplicate choice row for {key[0]} / {key[1]}")
         previous = key
         if row.status != "ok":
-            exclusions.append(
-                f"{row.problem_id}/{row.heuristic}: status {row.status}"
-            )
+            exclusions.append(f"{row.problem_id}/{row.heuristic}: status {row.status}")
             continue
         per = costs.rows.get(row.problem_id)
         if per is None:
-            raise HarnessInputError(
-                f"no cost rows for problem {row.problem_id}"
-            )
+            raise HarnessInputError(f"no cost rows for problem {row.problem_id}")
         if row.problem_id in costs.partial:
-            exclusions.append(
-                f"{row.problem_id}/{row.heuristic}: partial cost table"
-            )
+            exclusions.append(f"{row.problem_id}/{row.heuristic}: partial cost table")
             continue
         chosen = per.get(row.ordering)
         if chosen is None:
@@ -408,7 +399,7 @@ def compute_savings(
                 )
             n = len(per)
             total_cells = sum(c for c, _ in per.values())
-            total_ticks = sum(_ticks(t, scale) for _, t in per.values())
+            total_ticks = sum(t for _, t in per.values())
             if total_cells == 0 or total_ticks == 0:
                 raise HarnessInputError(
                     f"problem {row.problem_id} has zero average cost; "
@@ -416,10 +407,9 @@ def compute_savings(
                 )
             totals_of = row.problem_id
         try:
-            # The decimal that repr() prints, as an exact ratio: the rational
-            # Fraction(str(t)) gives, in under half its time.
-            hnum, hden = Decimal(repr(row.heuristic_time_s)).as_integer_ratio()
-        except (OverflowError, ValueError):
+            # The decimal that repr() prints, as an exact ratio.
+            hnum, hden = _ratio(repr(row.heuristic_time_s))
+        except ValueError:
             raise HarnessInputError(
                 f"{row.problem_id}/{row.heuristic}: heuristic time "
                 f"{row.heuristic_time_s!r} is not finite"
@@ -427,11 +417,11 @@ def compute_savings(
         # 100 * (avg - chosen) / avg with avg = total / n, multiplied through
         # by n (and, for times, by the scale and the heuristic time's
         # denominator) so that only integers remain.
-        cells, time_s = chosen
+        cells, ticks = chosen
         scored = SavingsRow(
             row.problem_id, row.heuristic, row.ordering,
             _reduced(100 * (total_cells - n * cells), total_cells),
-            _reduced(100 * (hden * (total_ticks - n * _ticks(time_s, scale)) - n * scale * hnum),
+            _reduced(100 * (hden * (total_ticks - n * ticks) - n * scale * hnum),
                      hden * total_ticks),
         )
         savings.append(scored)
@@ -454,13 +444,11 @@ def compute_savings(
                           _tree_sum([n * cell for n, cell, _ in parts], add) / count,
                           _tree_sum([n * time_ for n, _, time_ in parts], add) / count))
 
-    summary = _cost_summary(costs, group_of, scale)
+    summary = _cost_summary(costs, group_of)
     return savings, aggregate, summary, exclusions
 
 
-def _cost_summary(
-    costs: CostTable, group_of: Callable[[str], str], scale: int
-) -> list[dict]:
+def _cost_summary(costs: CostTable, group_of: Callable[[str], str]) -> list[dict]:
     """Per-group cost statistics over fully-measured problems (no overall
     row; the combined column only appears in the savings aggregate)."""
     groups: dict[str, list[str]] = {}
@@ -469,6 +457,7 @@ def _cost_summary(
             continue
         groups.setdefault(group_of(pid), []).append(pid)
     ordered = sorted(groups)
+    scale = costs.scale
     out = []
     for g in ordered:
         cells: list[int] = []
@@ -481,7 +470,7 @@ def _cost_summary(
         for pid in groups[g]:
             per = costs.rows[pid]
             pc = [c for c, _ in per.values()]
-            pt = [_ticks(t, scale) for _, t in per.values()]
+            pt = [t for _, t in per.values()]
             cells += pc
             ticks += pt
             cell_means.append(sum(pc) * (per_mean // len(pc)))

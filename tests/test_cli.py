@@ -274,6 +274,39 @@ def test_sweep_and_eval_reject_a_short_manifest_row(tmp_path, capsys):
     assert err == f"error: {manifest}:2: fewer fields than the header\n"
 
 
+def test_sweep_and_eval_reject_a_repeated_manifest_id(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run(capsys, *gen_args(corpus))[0] == 0
+    manifest = corpus / "manifest.csv"
+    first = manifest.read_text().splitlines()[1]
+    with open(manifest, "a") as fh:
+        fh.write(first + "\n")
+    out = tmp_path / "c.csv"
+    code, _, err = run(
+        capsys, "sweep", "--corpus", str(corpus), "--heuristics", "triangular",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert err == f"error: {manifest}:6: repeated id {first.split(',')[0]}\n"
+    assert not out.exists()
+    # Kept, the second label would put p-000 in group b without a word.
+    manifest.write_text("id,label\np-000,a\nq-000,b\np-000,b\n")
+    choices = tmp_path / "choices.csv"
+    choices.write_text(
+        "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,status\n"
+        "p-000,brown,x>y,0.0,false,ok\n"
+    )
+    costs = tmp_path / "costs.csv"
+    costs.write_text("problem_id,ordering,cells,time_s\np-000,x>y,10,1.0\np-000,y>x,30,3.0\n")
+    code, _, err = run(
+        capsys, "eval", "--costs", str(costs), "--choices", str(choices),
+        "--out", str(tmp_path / "s.csv"), "--manifest", str(manifest),
+    )
+    assert code == 2
+    assert err == f"error: {manifest}:4: repeated id p-000\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_sweep_on_empty_directory(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

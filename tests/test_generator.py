@@ -8,6 +8,7 @@ from cadorder import probio
 from cadorder.formula import Relop
 from cadorder.generator import (
     GenParams,
+    _monomial_pool,
     generate_corpus,
     item_seed,
     random_polynomial,
@@ -98,6 +99,13 @@ def test_polynomials_respect_parameters():
             assert f.total_degree() <= 3
             assert len(f.terms) <= 2
             assert all(abs(c) <= 5 for c in f.terms.values())
+
+
+def test_monomial_pool_is_built_once_per_parameter_pair():
+    pool = _monomial_pool(2, 2)
+    assert pool == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+    assert _monomial_pool(2, 2) is pool and isinstance(pool, tuple)
+    assert len(_monomial_pool(3, 2)) == 10
 
 
 def test_single_term_draws():

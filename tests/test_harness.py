@@ -3,7 +3,9 @@
 import csv
 import itertools
 import math
+import re
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from cadorder.harness import (
     ChoiceRow,
     CostTable,
     HarnessInputError,
+    _ratio,
     compute_savings,
     default_group_of,
     format_pct,
@@ -219,6 +222,10 @@ def test_zero_average_cost_is_an_error(tmp_path):
         ),
         ("problem_id,ordering,cells,time_s\np,x>y,1,1.0\np,y>x,1\n", "bad.csv:3: fewer fields"),
         ("problem_id,ordering,cells,time_s\n\np,x>y,1,1.0\np,y>x,ten,1.0\n", "bad.csv:4: bad numeric"),
+        ("problem_id,ordering,cells,time_s\np,x>y,1,1/0\n", "bad.csv:2: bad numeric"),
+        ("problem_id,ordering,cells,time_s\np,x>y,1,1.2.3\n", "bad.csv:2: bad numeric"),
+        ("problem_id,ordering,cells,time_s\np,x>y,1,\n", "bad.csv:2: bad numeric"),
+        ("problem_id,ordering,cells,time_s\np,x>y,1,-0.5\n", "bad.csv:2: negative"),
     ],
 )
 def test_cost_table_load_rejects_malformed_input(tmp_path, text, match):
@@ -226,6 +233,14 @@ def test_cost_table_load_rejects_malformed_input(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(HarnessInputError, match=match):
         CostTable.load(path)
+
+
+def test_cost_table_holds_integer_ticks_at_one_scale(tmp_path):
+    costs = load_costs(tmp_path, "problem_id,ordering,cells,time_s\n"
+                       "p,x>y,1,0.125\np,y>x,2,1/3\nq,x>y,3,2\nq,y>x,4,1e-3\n")
+    assert costs.scale == 3000
+    assert costs.rows == {"p": {"x>y": (1, 375), "y>x": (2, 1000)},
+                          "q": {"x>y": (3, 6000), "y>x": (4, 3)}}
 
 
 CHOICES_HEADER = "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,status\n"
@@ -259,18 +274,53 @@ def test_read_choices_validates(tmp_path, text, match):
 
 
 def test_read_records_reads_as_dict_reader(tmp_path):
-    # blank lines skipped, extra fields ignored, a repeated column's last
-    # value kept, and a quoted line break counted in the line number
+    # values in the order asked, blank lines skipped, extra fields ignored,
+    # a repeated column's last value kept, and a quoted line break counted
+    # in the line number
     text = 'a,b,a\n1,2,3\n\n\n4,5,6,7\n"8\n9",10,11\n'
     path = tmp_path / "records.csv"
     path.write_text(text)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        expected = [(reader.line_num, {k: v for k, v in rec.items() if k is not None})
-                    for rec in reader]
-    assert list(read_records(path, ("a", "b"))) == expected
-    assert expected == [(2, {"a": "3", "b": "2"}), (5, {"a": "6", "b": "5"}),
-                        (7, {"a": "11", "b": "10"})]
+        expected = [(reader.line_num, (rec["b"], rec["a"])) for rec in reader]
+    assert list(read_records(path, ("b", "a"))) == expected
+    assert expected == [(2, ("2", "3")), (5, ("5", "6")), (7, ("10", "11"))]
+    # one column is still a tuple, and the columns may be any iterable
+    assert list(read_records(path, iter(["a"]))) == [(2, ("3",)), (5, ("6",)), (7, ("11",))]
+
+
+# Spellings that Fraction accepts or rejects besides plain decimals: signs,
+# spaces, underscores, a bare point, exponents, ratios, non-ASCII digits.
+ODD_SPELLINGS = [
+    " 1.5", "1.5\n", "+2", "-0", "-0.25", "1_000", "1_0.5", "1__0", ".5", "5.", ".",
+    "1e-3", "2.5E+2", "1e", "1/3", "4/6", " 1/3 ", "1 / 3", "1/0", "0/0", "1.2.3",
+    "\u0661\u0662", "\u0663.\u0665", "\u00b2", "\uff11", "", "-", "abc", "nan", "inf",
+    "0x10", "1,5",
+]
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.from_regex(r"[0-9]{1,30}(\.[0-9]{1,30})?", fullmatch=True),
+    st.sampled_from(ODD_SPELLINGS),
+    st.text("0123456789._+-/eE \u0661\u00b2", max_size=8),
+))
+def test_ratio_reads_as_fraction(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _ratio(text)
+    else:
+        num, den = _ratio(text)
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(num, den) == want
+
+
+@given(st.one_of(st.sampled_from([0.0, 1e-07, 5e-324, 1e22, 0.1, 1e16, 123456.789]),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+def test_ratio_of_a_float_repr_is_its_decimal(t):
+    assert Fraction(*_ratio(repr(t))) == Fraction(*Decimal(repr(t)).as_integer_ratio())
 
 
 def test_repeated_choice_rows_are_errors(tmp_path):
@@ -286,7 +336,7 @@ def test_repeated_choice_rows_are_errors(tmp_path):
         compute_savings(costs, [failed, CHOICES[0]])
 
 
-@pytest.mark.parametrize("t", [math.inf, math.nan])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_non_finite_heuristic_time_is_an_error(tmp_path, t):
     costs = load_costs(tmp_path)
     with pytest.raises(HarnessInputError, match="10-000/brown: heuristic time .* not finite"):
@@ -322,6 +372,7 @@ TIMES = st.one_of(
     st.builds(lambda k, places: f"{k // 10 ** places}.{k % 10 ** places:0{places}d}",
               st.integers(0, 4000), st.integers(1, 3)),
     st.builds(lambda a, b: f"{a}/{b}", st.integers(0, 20), st.integers(1, 9)),
+    st.sampled_from(["0.50", ".5", "2.", "1e-3", "2.5E+1"]),
 )
 HEURISTIC_TIMES = st.one_of(
     st.sampled_from([0.0, 0.005, 0.125, 0.5, 0.995, 2.0, 1e-07, 5e-324, 1e+16]),
@@ -375,6 +426,17 @@ TIES = (
 )
 
 
+def fraction_costs(text: str):
+    """The cost rows {problem: {ordering: (cells, Fraction time)}} and the
+    partial problems of costs.csv text, read with Fraction alone."""
+    rows: dict[str, dict[str, tuple[int, Fraction]]] = {}
+    for pid, ordering, cells, time_s in csv.reader(text.splitlines()[1:]):
+        rows.setdefault(pid, {})[ordering] = (int(cells), Fraction(time_s))
+    partial = {pid for pid, per in rows.items()
+               if len(per) != math.factorial(len(next(iter(per)).split(">")))}
+    return rows, partial
+
+
 @settings(max_examples=150, deadline=None)
 @given(studies())
 @example(TIES)
@@ -385,7 +447,7 @@ def test_exact_eval_matches_per_row_fraction_oracle(study):
         (tmp / "costs.csv").write_text(text)
         costs = CostTable.load(tmp / "costs.csv")
         savings, aggregate, summary, _ = compute_savings(costs, choices)
-        want = naive_savings(costs.rows, costs.partial, choices, default_group_of)
+        want = naive_savings(*fraction_costs(text), choices, default_group_of)
         got = (
             [(s.problem_id, s.heuristic, s.ordering, s.cell_saving_pct, s.time_saving_pct)
              for s in savings],
