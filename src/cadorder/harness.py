@@ -142,13 +142,26 @@ def run_sweep(
             try:
                 report = suggest(problem, hid)
             except OrderingCapError:
-                row = ChoiceRow(problem_id, hid.value, "", 0.0, False, "ordering-cap-exceeded")
+                rows.append(
+                    ChoiceRow(problem_id, hid.value, "", 0.0, False,
+                              "ordering-cap-exceeded")
+                )
             except Exception as exc:  # keep sweeping, report the failure
-                row = ChoiceRow(problem_id, hid.value, "", 0.0, False, f"error: {exc}")
+                rows.append(
+                    ChoiceRow(problem_id, hid.value, "", 0.0, False,
+                              f"error: {exc}")
+                )
             else:
-                row = ChoiceRow(problem_id, hid.value, str(report.choice), report.elapsed,
-                                report.fallback_lex)
-            rows.append(row)
+                rows.append(
+                    ChoiceRow(
+                        problem_id,
+                        hid.value,
+                        str(report.choice),
+                        report.elapsed,
+                        report.fallback_lex,
+                        "ok",
+                    )
+                )
     rows.sort(key=_choice_key)
     return rows
 
@@ -156,12 +169,12 @@ def run_sweep(
 def read_records(
     path: str | Path, columns: Iterable[str]
 ) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """(line number, tuple of the `columns` values in the order asked) for
-    each non-blank row of a CSV file whose header names at least `columns`
-    (a repeated name is read from its last place); the line number is the
-    row's last physical line, so blank lines are counted.  A missing column,
-    or a row with fewer fields than the header, is a HarnessInputError naming
-    the file (and line)."""
+    """(line number, the row's `columns` values as a tuple in the order asked)
+    for each non-blank row of a CSV file whose header names at least `columns`,
+    a repeated name read from its last place.  The line number is the row's
+    last physical line, counting blank lines.  A missing column, or a row with
+    fewer fields than the header, is a HarnessInputError naming the file (and
+    line)."""
     columns = tuple(columns)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -227,11 +240,9 @@ def read_choices(path: str | Path) -> list[ChoiceRow]:
 
 
 def _ratio(text: str) -> tuple[int, int]:
-    """`text` as an exact (numerator, denominator) pair, denominator positive.
-    ASCII digits with at most one decimal point are split at the point, the
-    digits over a power of ten, unreduced; any other spelling is read by
-    `Fraction`, so it is accepted, or rejected with ValueError or
-    ZeroDivisionError, exactly as `Fraction(text)` would be."""
+    """`text` as an exact (numerator, denominator) pair: ASCII digits with at
+    most one decimal point as the digits over a power of ten, unreduced; any
+    other spelling as `Fraction(text)` reads it, or rejects it."""
     whole, _, frac = text.partition(".")
     digits = whole + frac
     if digits.isascii() and digits.isdigit():
@@ -377,13 +388,19 @@ def compute_savings(
             raise HarnessInputError(f"duplicate choice row for {key[0]} / {key[1]}")
         previous = key
         if row.status != "ok":
-            exclusions.append(f"{row.problem_id}/{row.heuristic}: status {row.status}")
+            exclusions.append(
+                f"{row.problem_id}/{row.heuristic}: status {row.status}"
+            )
             continue
         per = costs.rows.get(row.problem_id)
         if per is None:
-            raise HarnessInputError(f"no cost rows for problem {row.problem_id}")
+            raise HarnessInputError(
+                f"no cost rows for problem {row.problem_id}"
+            )
         if row.problem_id in costs.partial:
-            exclusions.append(f"{row.problem_id}/{row.heuristic}: partial cost table")
+            exclusions.append(
+                f"{row.problem_id}/{row.heuristic}: partial cost table"
+            )
             continue
         chosen = per.get(row.ordering)
         if chosen is None:
