@@ -20,7 +20,9 @@ The eval is exact and runs on integers until a caller reads a value:
   taken once; a heuristic time is the exact decimal ratio of its float;
 * a `SavingsRow` holds each saving as a reduced (numerator, denominator)
   pair, and its `cell_saving_pct`/`time_saving_pct` properties build a
-  `Fraction` only when read;
+  `Fraction` only when read; a cell saving depends only on the problem and
+  the chosen ordering, so it is computed once per (problem, ordering) and
+  the rows that chose that ordering share the pair;
 * each (group, heuristic) sum is taken once as an unreduced pair and
   becomes one `Fraction`, the group mean; each "all" mean adds its groups'
   sums (mean times row count) in `Fraction` arithmetic, which reduces by
@@ -32,9 +34,18 @@ output, and `write_savings` formats straight from the pairs.  Problems whose
 cost table does not cover every ordering are excluded from the statistics and
 reported.
 
+The eval keeps one object per distinct value.  `ChoiceRow` and `SavingsRow`
+are named tuples (immutable, no `__dict__`; they compare equal to plain
+tuples of their fields).  `read_choices` gives every row of one file the same
+`str` object for equal `problem_id`, `heuristic`, `ordering` and `status`
+texts, and `CostTable.load` does the same for ordering texts (and splits and
+checks each distinct one once).  The table of shared strings is local to
+the call and dropped when it returns; nothing is interned process-wide.
+
 CSV schemas (header row, comma separator):
 
 * choices.csv  problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,status
+  (fallback_lex is `true` or `false`)
 * costs.csv    problem_id,ordering,cells,time_s
 * savings.csv  problem_id,heuristic,ordering,cell_saving_pct,time_saving_pct
 * aggregate.csv group,heuristic,mean_cell_saving_pct,mean_time_saving_pct
@@ -46,11 +57,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from cadorder.formula import Problem
 from cadorder.heuristics import HeuristicId, OrderingCapError, suggest
@@ -77,11 +87,10 @@ class HarnessInputError(ValueError):
     """Malformed or inconsistent harness input files."""
 
 
-_choice_key = attrgetter("problem_id", "heuristic")
+_choice_key = itemgetter(0, 1)  # (problem_id, heuristic)
 
 
-@dataclass(frozen=True, slots=True)
-class ChoiceRow:
+class ChoiceRow(NamedTuple):
     problem_id: str
     heuristic: str
     ordering: str
@@ -90,8 +99,7 @@ class ChoiceRow:
     status: str = "ok"
 
 
-@dataclass(frozen=True, slots=True)
-class SavingsRow:
+class SavingsRow(NamedTuple):
     """One scored choice.  `cell_saving` and `time_saving` are percentages as
     reduced (numerator, denominator) pairs with a positive denominator."""
 
@@ -215,10 +223,14 @@ def write_choices(rows: Iterable[ChoiceRow], path: str | Path) -> None:
 def read_choices(path: str | Path) -> list[ChoiceRow]:
     rows = []
     seen: set[tuple[str, str]] = set()
+    # The first str read with each text; the rows share it.  Dropped when the
+    # call returns.
+    one = {}.setdefault
     columns = ("problem_id", "heuristic", "ordering", "heuristic_time_s",
                "fallback_lex", "status")
     for lineno, (pid, heuristic, ordering, raw, fallback_lex, status) in read_records(
             path, columns):
+        pid, heuristic = one(pid, pid), one(heuristic, heuristic)
         key = (pid, heuristic)
         if key in seen:
             raise HarnessInputError(f"{path}:{lineno}: duplicate row for {pid} / {heuristic}")
@@ -232,7 +244,10 @@ def read_choices(path: str | Path) -> list[ChoiceRow]:
                 f"{path}:{lineno}: bad heuristic_time_s {raw!r} "
                 "(want a finite non-negative number of seconds)"
             )
-        rows.append(ChoiceRow(pid, heuristic, ordering, time_s, fallback_lex == "true", status))
+        if fallback_lex not in ("true", "false"):
+            raise HarnessInputError(f"{path}:{lineno}: bad fallback_lex {fallback_lex!r}")
+        rows.append(ChoiceRow(pid, heuristic, one(ordering, ordering), time_s,
+                              fallback_lex == "true", one(status, status)))
     return rows
 
 
@@ -271,6 +286,9 @@ class CostTable:
         table = cls()
         variable_sets: dict[str, set[frozenset[str]]] = {}
         read: dict[str, dict[str, tuple[int, int, int]]] = {}  # (cells, num, den)
+        # Each distinct ordering text: the first str read with it and its
+        # variable set, checked once.  Dropped when the call returns.
+        orderings: dict[str, tuple[str, frozenset[str]]] = {}
         for lineno, (pid, ordering, cells, time_s) in read_records(
                 path, ("problem_id", "ordering", "cells", "time_s")):
             try:
@@ -285,12 +303,16 @@ class CostTable:
                 raise HarnessInputError(
                     f"{path}:{lineno}: duplicate row for {pid} / {ordering}"
                 )
-            names = ordering.split(">")
-            variables = frozenset(names)
-            if len(variables) != len(names):
-                raise HarnessInputError(
-                    f"{path}:{lineno}: ordering {ordering} repeats a variable"
-                )
+            known = orderings.get(ordering)
+            if known is None:
+                names = ordering.split(">")
+                variables = frozenset(names)
+                if len(variables) != len(names):
+                    raise HarnessInputError(
+                        f"{path}:{lineno}: ordering {ordering} repeats a variable"
+                    )
+                known = orderings[ordering] = ordering, variables
+            ordering, variables = known
             per[ordering] = (cells, num, den)
             variable_sets.setdefault(pid, set()).add(variables)
         table.scale = scale = math.lcm(*{d for per in read.values() for *_, d in per.values()})
@@ -379,8 +401,8 @@ def compute_savings(
     # Scored rows of each (group, heuristic), in the order they are scored.
     members: dict[tuple[str, str], list[SavingsRow]] = {}
     # The group, n, total cells and total ticks of the problem whose choices
-    # are being scored; choices are visited sorted by problem, so each is
-    # summed once.
+    # are being scored, and its cell saving per chosen ordering; choices are
+    # visited sorted by problem, so each is computed once.
     totals_of = previous = None
     for row in sorted(choices, key=_choice_key):
         key = _choice_key(row)
@@ -423,6 +445,7 @@ def compute_savings(
                     "savings are undefined"
                 )
             totals_of = row.problem_id
+            cell_of: dict[str, tuple[int, int]] = {}
         try:
             # The decimal that repr() prints, as an exact ratio.
             hnum, hden = _ratio(repr(row.heuristic_time_s))
@@ -435,9 +458,12 @@ def compute_savings(
         # by n (and, for times, by the scale and the heuristic time's
         # denominator) so that only integers remain.
         cells, ticks = chosen
+        cell = cell_of.get(row.ordering)
+        if cell is None:
+            cell = cell_of[row.ordering] = _reduced(100 * (total_cells - n * cells),
+                                                    total_cells)
         scored = SavingsRow(
-            row.problem_id, row.heuristic, row.ordering,
-            _reduced(100 * (total_cells - n * cells), total_cells),
+            row.problem_id, row.heuristic, row.ordering, cell,
             _reduced(100 * (hden * (total_ticks - n * ticks) - n * scale * hnum),
                      hden * total_ticks),
         )

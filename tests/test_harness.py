@@ -263,8 +263,15 @@ CHOICES_HEADER = "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,st
             "p,brown,y>x,0.5,false,ok\n",
             "choices.csv:4: duplicate row for p / brown",
         ),
+        (CHOICES_HEADER + "p,brown,x>y,0.5,yes,ok\n", "choices.csv:2: bad fallback_lex 'yes'"),
+        (
+            CHOICES_HEADER + "p,brown,x>y,0.5,true,ok\np,sotd,x>y,0.5,True,ok\n",
+            "choices.csv:3: bad fallback_lex 'True'",
+        ),
+        (CHOICES_HEADER + "p,brown,x>y,0.5,,ok\n", "choices.csv:2: bad fallback_lex ''"),
     ],
-    ids=["columns", "word", "nan", "inf", "negative", "short", "duplicate"],
+    ids=["columns", "word", "nan", "inf", "negative", "short", "duplicate",
+         "fallback-word", "fallback-case", "fallback-empty"],
 )
 def test_read_choices_validates(tmp_path, text, match):
     path = tmp_path / "choices.csv"
@@ -363,6 +370,25 @@ def test_savings_rows_hold_reduced_integer_ratios(tmp_path):
     with pytest.raises(AttributeError):
         row.cell_saving = (0, 1)
     assert not hasattr(row, "__dict__") and not hasattr(CHOICES[0], "__dict__")
+
+
+def test_eval_keeps_one_object_per_distinct_value(tmp_path):
+    path = tmp_path / "choices.csv"
+    path.write_text(CHOICES_HEADER + "10-000,brown,x>y,0.0,false,ok\n"
+                    "10-000,ndrr,x>y,0.5,false,ok\n20-000,brown,x>y,0.0,true,ok\n"
+                    "20-000,ndrr,y>x,0.0,false,ok\n")
+    rows = read_choices(path)
+    assert rows[0].problem_id is rows[1].problem_id
+    assert rows[2].problem_id is rows[3].problem_id
+    assert rows[0].heuristic is rows[2].heuristic and rows[1].heuristic is rows[3].heuristic
+    assert rows[0].ordering is rows[1].ordering is rows[2].ordering
+    assert rows[0].status is rows[3].status
+    costs = load_costs(tmp_path)
+    assert all(a is b for a, b in zip(costs.rows["10-000"], costs.rows["20-000"]))
+    savings, _, _, _ = compute_savings(costs, rows)
+    # both choices of 10-000 are x>y: one cell saving, a time saving each
+    assert savings[0].cell_saving is savings[1].cell_saving
+    assert (savings[0].time_saving, savings[1].time_saving) == ((50, 1), (25, 1))
 
 
 # ------------------------------------------------ differential: exact eval
