@@ -68,23 +68,31 @@ class _InputError(Exception):
 
 def _cmd_suggest(args) -> int:
     problem = _load_problem(args.file)
-    ids = _ALL_IDS if args.all else [args.heuristic]
-    for hid in ids:
-        report = suggest(problem, HeuristicId(hid))
-        if args.all:
-            print(f"{hid}: {report.choice}")
-        else:
-            print(report.choice)
-            print(f"# heuristic={hid} fallback_lex={str(report.fallback_lex).lower()} "
-                  f"elapsed_s={report.elapsed:.6f}")
-            if report.tiebreaks_used:
-                print(f"# tiebreaks: {', '.join(report.tiebreaks_used)}")
-            for note in report.notes:
-                print(f"# {note}")
-            if report.candidates and len(report.candidates) <= 24:
-                for ordering, vals in report.candidates.items():
-                    shown = " ".join(f"{k}={v}" for k, v in vals.items())
-                    print(f"# {ordering}: {shown}")
+    if args.all:
+        # every id gets its line; one over the cap fails the run at the end
+        capped = None
+        for hid in _ALL_IDS:
+            try:
+                print(f"{hid}: {suggest(problem, HeuristicId(hid)).choice}")
+            except OrderingCapError as exc:
+                print(f"{hid}: ordering-cap-exceeded")
+                capped = exc
+        if capped:
+            raise capped
+        return 0
+    hid = args.heuristic
+    report = suggest(problem, HeuristicId(hid))
+    print(report.choice)
+    print(f"# heuristic={hid} fallback_lex={str(report.fallback_lex).lower()} "
+          f"elapsed_s={report.elapsed:.6f}")
+    if report.tiebreaks_used:
+        print(f"# tiebreaks: {', '.join(report.tiebreaks_used)}")
+    for note in report.notes:
+        print(f"# {note}")
+    if report.candidates and len(report.candidates) <= 24:
+        for ordering, vals in report.candidates.items():
+            shown = " ".join(f"{k}={v}" for k, v in vals.items())
+            print(f"# {ordering}: {shown}")
     return 0
 
 

@@ -236,7 +236,7 @@ def read_choices(path: str | Path) -> list[ChoiceRow]:
             raise HarnessInputError(f"{path}:{lineno}: duplicate row for {pid} / {heuristic}")
         seen.add(key)
         try:
-            time_s = float(raw) if raw else 0.0
+            time_s = float(raw)
         except ValueError:
             time_s = math.nan
         if not (math.isfinite(time_s) and time_s >= 0):

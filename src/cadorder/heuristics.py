@@ -1,8 +1,10 @@
 """The twelve variable-ordering heuristics.
 
-`suggest(problem, heuristic)` is the one way to run a heuristic: it looks
-the `HeuristicId` up in a dispatch table, and each family reads its settings
-from a table keyed by the id.  Two families:
+`suggest(problem, heuristic)` is the one way to run a heuristic: one table,
+`_HEURISTICS`, gives each `HeuristicId` one row, its family and the settings
+that family takes (the Measures fields to sort by; the measure, tie-break
+measure and projection kind; the projection kind; or whether to add the
+omitted-set stage).  Two kinds of family:
 
 * positional heuristics order variables directly by per-variable measures
   (triangular-style m1/m2/m3 keys, brown-style m1/m4/m5 keys, greedy
@@ -133,25 +135,17 @@ def sotd(*sets: Iterable[Polynomial]) -> int:
 # -- positional heuristics ----------------------------------------------------
 
 
-# The Measures fields each positional heuristic sorts by, in key order.
-_POSITIONAL: dict[HeuristicId, tuple[str, ...]] = {
-    HeuristicId.TRIANGULAR: ("m1", "m2", "m3"),
-    HeuristicId.BROWN: ("m1", "m4", "m5"),
-}
-
-
-def _positional_order(problem: Problem, hid: HeuristicId) -> HeuristicReport:
-    """Sort by the id's Measures fields ascending; smaller means greater."""
-    fields = _POSITIONAL[hid]
+def _positional_order(
+    problem: Problem, hid: HeuristicId, fields: tuple[str, ...]
+) -> HeuristicReport:
+    """Sort by the given Measures fields ascending; smaller means greater."""
     P = problem.defining_polynomials()
     keys = {}
     for v in problem.variables:
         m = variable_measures(P, v.index)
         keys[v] = tuple(getattr(m, f) for f in fields)
     ordered = sorted(problem.variables, key=lambda v: keys[v])
-    fallback = any(
-        keys[a] == keys[b] for a, b in zip(ordered, ordered[1:])
-    )
+    fallback = any(keys[a] == keys[b] for a, b in zip(ordered, ordered[1:]))
     return HeuristicReport(
         hid,
         VariableOrdering(tuple(ordered)),
@@ -195,18 +189,9 @@ MEASURES: dict[str, Callable[[Problem, tuple[frozenset[Polynomial], ...]], int]]
 }
 
 
-# The enumeration heuristics: (measure, tiebreak measure or None, kind).
-_SEARCHES: dict[HeuristicId, tuple[str, str | None, str]] = {
-    HeuristicId.SOTD: ("sotd", None, "full"),
-    HeuristicId.NDRR: ("ndrr", None, "full"),
-    HeuristicId.SN: ("sotd", "ndrr", "full"),
-    HeuristicId.NS: ("ndrr", "sotd", "full"),
-    HeuristicId.S_TTI: ("sotd", None, "tti"),
-    HeuristicId.N_TTI: ("ndrr", None, "tti"),
-}
-
-
-def _ordering_search(problem: Problem, hid: HeuristicId) -> HeuristicReport:
+def _ordering_search(
+    problem: Problem, hid: HeuristicId, measure: str, tiebreak: str | None, kind: str
+) -> HeuristicReport:
     """Evaluate one measure over every ordering's cascade, keep the minimum.
 
     With a tiebreak, orderings that tie on the measure are compared by the
@@ -216,7 +201,6 @@ def _ordering_search(problem: Problem, hid: HeuristicId) -> HeuristicReport:
     through `project_cascade`, which returns the stages the first pass built
     into the workspace `suggest` opened.
     """
-    measure, tiebreak, kind = _SEARCHES[hid]
     measure_fn = MEASURES[measure]
     candidates: dict[VariableOrdering, dict[str, int]] = {
         o: {measure: measure_fn(problem, project_cascade(problem, o, kind))}
@@ -236,44 +220,33 @@ def _ordering_search(problem: Problem, hid: HeuristicId) -> HeuristicReport:
         tied = [o for o in tied if candidates[o][tiebreak] == best_tb]
     if len(tied) > 1:
         tiebreaks = tiebreaks + ("lex",)
-    return HeuristicReport(
-        hid,
-        tied[0],
-        candidates=candidates,
-        tiebreaks_used=tiebreaks,
-    )
+    return HeuristicReport(hid, tied[0], candidates=candidates, tiebreaks_used=tiebreaks)
 
 
-def _greedy_sotd_order(problem: Problem, hid: HeuristicId) -> HeuristicReport:
+def _greedy_sotd_order(problem: Problem, hid: HeuristicId, kind: str) -> HeuristicReport:
     """Allocate the next-greatest variable as the one whose single projection
     step produces the set with the smallest sum of total degrees.  Each step
     is the `projection_stage` of the chosen prefix plus one candidate, so it
     is the stage an enumerated cascade with that prefix holds; the workspace
-    `suggest` opened builds the chosen prefix's stages once.  `gs-tti` takes
-    the reduced first projection, `gs` the full one."""
-    kind = "tti" if hid is HeuristicId.GS_TTI else "full"
+    `suggest` opened builds the chosen prefix's stages once.  `min` keeps the
+    first of tied candidates, i.e. declaration order."""
     remaining = list(problem.variables)
     chosen: list[Variable] = []
     fallback = False
     notes: list[str] = []
     while len(remaining) > 1:
-        best_var = None
-        best_val = None
-        tied = 0
-        step_vals = []
         prefix = tuple(v.index for v in chosen)
-        for v in remaining:
-            val = sotd(projection_stage(problem, kind, prefix + (v.index,)))
-            step_vals.append(f"{v.name}:{val}")
-            if best_val is None or val < best_val:
-                best_var, best_val, tied = v, val, 1
-            elif val == best_val:
-                tied += 1
-        if tied > 1:
-            fallback = True
-        notes.append(f"step {len(chosen) + 1}: " + " ".join(step_vals))
-        chosen.append(best_var)
-        remaining.remove(best_var)
+        vals = {
+            v: sotd(projection_stage(problem, kind, prefix + (v.index,)))
+            for v in remaining
+        }
+        best = min(remaining, key=vals.__getitem__)
+        fallback = fallback or list(vals.values()).count(vals[best]) > 1
+        notes.append(
+            f"step {len(chosen) + 1}: " + " ".join(f"{v.name}:{x}" for v, x in vals.items())
+        )
+        chosen.append(best)
+        remaining.remove(best)
     chosen.extend(remaining)
     return HeuristicReport(
         hid,
@@ -283,7 +256,15 @@ def _greedy_sotd_order(problem: Problem, hid: HeuristicId) -> HeuristicReport:
     )
 
 
-def _newh_order(problem: Problem, hid: HeuristicId) -> HeuristicReport:
+# newh's tie-break stages after m1, in order: (tiebreak label, note title,
+# the set taken with respect to the greatest variable).
+_NEWH_STAGES = (
+    ("special-set-degree", "special set degrees", newh_set),
+    ("omitted-set-degree", "omitted set degrees", newh_omitted_set),
+)
+
+
+def _newh_order(problem: Problem, hid: HeuristicId, extended: bool) -> HeuristicReport:
     """Equational-constraint strategy.
 
     Stage 1 ranks variables by max degree over the input polynomials
@@ -291,54 +272,31 @@ def _newh_order(problem: Problem, hid: HeuristicId) -> HeuristicReport:
     order before anything else).  Stage 2 compares still-tied variables by
     their maximum degree in the special projection set taken with respect to
     the fixed greatest variable; `newh-ext` adds a third stage over the
-    complementary (omitted) set.
+    complementary (omitted) set.  A stage runs only while two of the other
+    variables share a key, and appends its degree to every key.
     """
     P = problem.defining_polynomials()
     m1 = {v: variable_measures(P, v.index).m1 for v in problem.variables}
-    by_m1 = sorted(problem.variables, key=lambda v: (m1[v], v.index))
-    v1 = by_m1[0]
-    rest = by_m1[1:]
-    tiebreaks: list[str] = []
-    if len([v for v in problem.variables if m1[v] == m1[v1]]) > 1:
-        tiebreaks.append("lex-first")
-    notes = [f"m1: " + " ".join(f"{v.name}={m1[v]}" for v in problem.variables)]
+    v1, *rest = sorted(problem.variables, key=lambda v: (m1[v], v.index))
+    tiebreaks = ["lex-first"] if list(m1.values()).count(m1[v1]) > 1 else []
+    notes = ["m1: " + " ".join(f"{v.name}={m1[v]}" for v in problem.variables)]
 
-    d2: dict[Variable, int] = {}
-    d3: dict[Variable, int] = {}
-    need_stage2 = any(
-        m1[a] == m1[b] for a, b in zip(rest, rest[1:])
-    )
-    if need_stage2 and rest:
-        S = newh_set(problem, v1.index)
+    key = {v: (m1[v],) for v in rest}
+    for label, title, stage_set in _NEWH_STAGES[: 2 if extended else 1]:
+        if len(set(key.values())) == len(key):
+            break
+        S = stage_set(problem, v1.index)
         for v in rest:
-            d2[v] = max((g.degree(v.index) for g in S), default=0)
-        tiebreaks.append("special-set-degree")
-        notes.append(
-            "special set degrees: " + " ".join(f"{v.name}={d2[v]}" for v in rest)
-        )
-        if hid is HeuristicId.NEWH_EXT:
-            still_tied = any(
-                (m1[a], d2[a]) == (m1[b], d2[b])
-                for a, b in itertools.combinations(rest, 2)
-            )
-            if still_tied:
-                O = newh_omitted_set(problem, v1.index)
-                for v in rest:
-                    d3[v] = max((g.degree(v.index) for g in O), default=0)
-                tiebreaks.append("omitted-set-degree")
-                notes.append(
-                    "omitted set degrees: " + " ".join(f"{v.name}={d3[v]}" for v in rest)
-                )
+            key[v] += (max((g.degree(v.index) for g in S), default=0),)
+        tiebreaks.append(label)
+        notes.append(f"{title}: " + " ".join(f"{v.name}={key[v][-1]}" for v in rest))
 
-    def key(v: Variable):
-        return (m1[v], d2.get(v, 0), d3.get(v, 0), v.index)
-
-    rest_sorted = sorted(rest, key=key)
-    if any(key(a)[:-1] == key(b)[:-1] for a, b in zip(rest_sorted, rest_sorted[1:])):
+    rest.sort(key=lambda v: (key[v], v.index))
+    if any(key[a] == key[b] for a, b in zip(rest, rest[1:])):
         tiebreaks.append("lex")
     return HeuristicReport(
         hid,
-        VariableOrdering(tuple([v1] + rest_sorted)),
+        VariableOrdering(tuple([v1] + rest)),
         tiebreaks_used=tuple(tiebreaks),
         notes=tuple(notes),
     )
@@ -347,11 +305,21 @@ def _newh_order(problem: Problem, hid: HeuristicId) -> HeuristicReport:
 # -- dispatch ------------------------------------------------------------------
 
 
-_DISPATCH: dict[HeuristicId, Callable[[Problem, HeuristicId], HeuristicReport]] = {
-    **dict.fromkeys(_POSITIONAL, _positional_order),
-    **dict.fromkeys(_SEARCHES, _ordering_search),
-    **dict.fromkeys((HeuristicId.GS, HeuristicId.GS_TTI), _greedy_sotd_order),
-    **dict.fromkeys((HeuristicId.NEWH, HeuristicId.NEWH_EXT), _newh_order),
+# Every heuristic as one row: its family and the settings the family takes
+# after (problem, id).
+_HEURISTICS: dict[HeuristicId, tuple[Callable[..., HeuristicReport], tuple]] = {
+    HeuristicId.TRIANGULAR: (_positional_order, (("m1", "m2", "m3"),)),
+    HeuristicId.BROWN: (_positional_order, (("m1", "m4", "m5"),)),
+    HeuristicId.SOTD: (_ordering_search, ("sotd", None, "full")),
+    HeuristicId.NDRR: (_ordering_search, ("ndrr", None, "full")),
+    HeuristicId.SN: (_ordering_search, ("sotd", "ndrr", "full")),
+    HeuristicId.NS: (_ordering_search, ("ndrr", "sotd", "full")),
+    HeuristicId.GS: (_greedy_sotd_order, ("full",)),
+    HeuristicId.S_TTI: (_ordering_search, ("sotd", None, "tti")),
+    HeuristicId.N_TTI: (_ordering_search, ("ndrr", None, "tti")),
+    HeuristicId.GS_TTI: (_greedy_sotd_order, ("tti",)),
+    HeuristicId.NEWH: (_newh_order, (False,)),
+    HeuristicId.NEWH_EXT: (_newh_order, (True,)),
 }
 
 
@@ -366,6 +334,7 @@ def suggest(problem: Problem, heuristic: HeuristicId | str) -> HeuristicReport:
     hid = HeuristicId(heuristic) if not isinstance(heuristic, HeuristicId) else heuristic
     start = time.perf_counter()
     with Workspace():
-        report = _DISPATCH[hid](problem, hid)
+        family, settings = _HEURISTICS[hid]
+        report = family(problem, hid, *settings)
     report.elapsed = time.perf_counter() - start
     return report

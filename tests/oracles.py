@@ -3,7 +3,8 @@
 Everything here is deliberately naive and self-contained: resultants come
 from cofactor expansion of the Sylvester matrix, real-root counts from a
 Descartes/bisection scan over exact rationals, the ordering search from
-a from-scratch cascade recomputation built on those two, and the savings
+a from-scratch cascade recomputation built on those two, newh's ranking from
+special and omitted sets built of Sylvester resultants, and the savings
 bookkeeping from per-row `Fraction` averages and sequential `Fraction` sums.  Only the
 Polynomial value type and its ring operations are shared with the package;
 none of the algorithms under test (subresultant PRS, the integer
@@ -361,6 +362,67 @@ def naive_search(problem, measure: str, kind: str):
         if best_val is None or val < best_val:
             best, best_val = perm, val
     return tuple(v.name for v in best), best_val
+
+
+# -- newh ------------------------------------------------------------------------
+
+
+def _naive_lead_closure(polys, v: int) -> frozenset[Polynomial]:
+    """Discriminants (degree 2 or more), leading coefficients and pairwise
+    Sylvester resultants in v, sign-normalized, constants dropped."""
+    polys = list(dict.fromkeys(polys))
+    out = [oracle_discriminant(f, v) for f in polys if f.degree(v) >= 2]
+    out += [f.lcoeff(v) for f in polys]
+    out += [sylvester_resultant(f, g, v) for f, g in itertools.combinations(polys, 2)]
+    return frozenset(sign_normalize(f) for f in out if not f.is_const())
+
+
+def naive_newh(problem, extended: bool):
+    """newh's (or with `extended`, newh-ext's) choice and tie-breaks, from
+    every variable's m1 and degrees in the special and omitted sets, all
+    computed up front.
+
+    The greatest variable is the first declared one of least m1 ("lex-first"
+    when another shares that m1).  The others go by m1, then, while two of
+    them still share their whole key, by their degree in the special set
+    ("special-set-degree"), then, for newh-ext only, in the omitted set
+    ("omitted-set-degree"); what still ties goes by declaration ("lex").
+    """
+    vs = problem.variables
+    polys = problem.defining_polynomials()
+    m1 = {v: max([0] + [p.degree(v.index) for p in polys]) for v in vs}
+    first = min(vs, key=lambda v: (m1[v], v.index))
+    w = first.index
+    special = _naive_lead_closure([qff.constraints[0].poly for qff in problem.qffs], w)
+    for qff in problem.qffs:
+        ecs = [c.poly for c in qff.constraints if c.relop.value == "="]
+        if not ecs:
+            special |= _naive_lead_closure([c.poly for c in qff.constraints], w)
+        elif len(ecs) >= 2 and ecs[0] != ecs[1]:
+            r = sylvester_resultant(ecs[0], ecs[1], w)
+            if not r.is_const():
+                special |= {sign_normalize(r)}
+    omitted = _naive_lead_closure(polys, w) - special
+    keys = {v: (m1[v],
+                max([0] + [g.degree(v.index) for g in special]),
+                max([0] + [g.degree(v.index) for g in omitted])) for v in vs}
+
+    rest = [v for v in vs if v is not first]
+    tiebreaks = ["lex-first"] if [m1[v] for v in vs].count(m1[first]) > 1 else []
+
+    def ties(width):
+        return len({keys[v][:width] for v in rest}) < len(rest)
+
+    width = 1
+    for label in ("special-set-degree", "omitted-set-degree")[: 1 + extended]:
+        if not ties(width):
+            break
+        tiebreaks.append(label)
+        width += 1
+    if ties(width):
+        tiebreaks.append("lex")
+    rest.sort(key=lambda v: (keys[v][:width], v.index))
+    return (first.name, *(v.name for v in rest)), tuple(tiebreaks)
 
 
 # -- savings bookkeeping ----------------------------------------------------------

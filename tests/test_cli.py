@@ -95,6 +95,14 @@ def test_suggest_over_the_enumeration_cap(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ")
     code, out, _ = run(capsys, "suggest", path, "--heuristic", "brown")
     assert code == 0 and out.splitlines()[0].count(">") == 8
+    # --all still reports every id, the searches as over the cap, then fails
+    code, out, err = run(capsys, "suggest", path, "--all")
+    assert code == 2 and err.startswith("error: ") and "cap is 8" in err
+    lines = dict(line.split(": ") for line in out.splitlines())
+    assert list(lines) == [h.value for h in HeuristicId]
+    searches = {"sotd", "ndrr", "sn", "ns", "s-tti", "n-tti"}
+    assert {h for h, o in lines.items() if o == "ordering-cap-exceeded"} == searches
+    assert all(o.count(">") == 8 for h, o in lines.items() if h not in searches)
 
 
 def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch):

@@ -269,9 +269,10 @@ CHOICES_HEADER = "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,st
             "choices.csv:3: bad fallback_lex 'True'",
         ),
         (CHOICES_HEADER + "p,brown,x>y,0.5,,ok\n", "choices.csv:2: bad fallback_lex ''"),
+        (CHOICES_HEADER + "p,brown,x>y,,false,ok\n", "choices.csv:2: bad heuristic_time_s ''"),
     ],
     ids=["columns", "word", "nan", "inf", "negative", "short", "duplicate",
-         "fallback-word", "fallback-case", "fallback-empty"],
+         "fallback-word", "fallback-case", "fallback-empty", "time-blank"],
 )
 def test_read_choices_validates(tmp_path, text, match):
     path = tmp_path / "choices.csv"

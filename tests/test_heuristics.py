@@ -5,7 +5,10 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import SEARCH_IDS, naive_cascade, naive_search, naive_sotd, _naive_full_step, _naive_tti_step
+from oracles import (
+    SEARCH_IDS, naive_cascade, naive_newh, naive_search, naive_sotd, _naive_full_step,
+    _naive_tti_step,
+)
 from cadorder import projection
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable
 from cadorder.generator import GenParams, random_problem
@@ -13,7 +16,7 @@ from cadorder.heuristics import (
     HeuristicId,
     Measures,
     OrderingCapError,
-    _DISPATCH,
+    _HEURISTICS,
     sotd,
     suggest,
     variable_measures,
@@ -233,11 +236,14 @@ def test_combined_without_primary_tie_equals_plain_search():
 
 
 def replay_greedy(problem, kind):
+    """The greedy choice and whether some step tied, by schoolbook steps."""
     remaining = list(problem.variables)
     chosen = []
     current = None
+    fallback = False
     while len(remaining) > 1:
         best = None
+        ties = 0
         for v in remaining:
             if current is None and kind == "tti":
                 ps = _naive_tti_step(problem, v.index)
@@ -247,12 +253,15 @@ def replay_greedy(problem, kind):
                 ps = _naive_full_step(current, v.index)
             val = naive_sotd(ps)
             if best is None or val < best[0]:
-                best = (val, v, ps)
+                best, ties = (val, v, ps), 0
+            elif val == best[0]:
+                ties += 1
+        fallback = fallback or ties > 0
         chosen.append(best[1])
         remaining.remove(best[1])
         current = best[2]
     chosen.extend(remaining)
-    return tuple(v.name for v in chosen)
+    return tuple(v.name for v in chosen), fallback
 
 
 @pytest.mark.parametrize("kind", ["full", "tti"])
@@ -261,7 +270,7 @@ def test_greedy_matches_step_by_step_replay(kind):
         p = gen("21", seed=seed)
         expected = replay_greedy(p, kind)
         r = suggest(p, GREEDY_IDS[kind])
-        assert r.choice.names == expected
+        assert (r.choice.names, r.fallback_lex) == expected
         assert len(r.notes) == 2 and r.notes[0].startswith("step 1:")
 
 
@@ -341,13 +350,30 @@ def test_newh_fully_symmetric_problem():
     assert r.fallback_lex
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    nvars=st.integers(1, 4),
+    label=st.sampled_from(["0", "1", "2", "00", "10", "20", "11", "12", "21", "22"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_newh_and_greedy_match_the_oracles(nvars, label, seed):
+    p = gen(label, seed, n_vars=nvars, max_tdeg=2, terms=2)
+    for hid, extended in (("newh", False), ("newh-ext", True)):
+        r = suggest(p, hid)
+        assert (r.choice.names, r.tiebreaks_used) == naive_newh(p, extended), hid
+    for kind, hid in GREEDY_IDS.items():
+        r = suggest(p, hid)
+        assert (r.choice.names, r.fallback_lex) == replay_greedy(p, kind), hid
+
+
 # ------------------------------------------------------- report contracts
 
 
 def run_direct(p, hid):
-    """One heuristic through the dispatch table, with no workspace of its own."""
+    """One heuristic through its table row, with no workspace of its own."""
     hid = HeuristicId(hid)
-    return _DISPATCH[hid](p, hid)
+    family, args = _HEURISTICS[hid]
+    return family(p, hid, *args)
 
 
 def test_suggest_dispatch_and_timing():
@@ -357,7 +383,7 @@ def test_suggest_dispatch_and_timing():
     assert r.choice == run_direct(p, "s-tti").choice
     assert r.elapsed > 0
     assert suggest(p, HeuristicId.BROWN).choice == suggest(p, "brown").choice
-    assert set(_DISPATCH) == set(HeuristicId)
+    assert set(_HEURISTICS) == set(HeuristicId)
     with pytest.raises(ValueError):
         suggest(p, "fastest")
 
