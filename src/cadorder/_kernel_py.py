@@ -118,11 +118,25 @@ def kint_content(a):
 
 def kexact_div(a, b):
     """Quotient dict of the exact division a / b, or None when b does not
-    divide a over the integers."""
+    divide a over the integers.  A single-term b divides each term of a in
+    one pass; any other b runs the remainder loop on leading terms."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        quot = {}
+        for ea, ca in a.items():
+            em = tuple(map(_sub, ea, eb))
+            for x in em:
+                if x < 0:
+                    return None
+            q, r = divmod(ca, cb)
+            if r:
+                return None
+            quot[em] = q
+        return quot
     eb, cb = kleading(b)
     rem = dict(a)
     quot = {}

@@ -434,19 +434,29 @@ def _heuristic_gcd(f: Polynomial, g: Polynomial) -> "Polynomial | None":
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Gcd over the integers (integer content included), sign-normalized.
 
-    Tries the heuristic GCD (GCDHEU) on the inputs with their integer
-    contents stripped, and falls back to a primitive remainder sequence in
-    the greatest variable when it fails.
+    A single-term operand c*X^e, a constant included, is closed-form: the
+    gcd is the integer gcd of c and every coefficient of the other operand
+    times X to the componentwise minimum of e and the other operand's
+    exponents.  Otherwise tries the heuristic GCD (GCDHEU) on the inputs
+    with their integer contents stripped, and falls back to a primitive
+    remainder sequence in the greatest variable when it fails.
     """
+    if f.nvars != g.nvars:
+        raise ValueError("mixing polynomials from different variable contexts")
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if f.is_zero():
         return sign_normalize(g)
     if g.is_zero():
         return sign_normalize(f)
-    if f.is_const() or g.is_const():
-        c = _int_gcd(f.int_content(), g.int_content())
-        return Polynomial.const(f.nvars, c)
+    if len(g.terms) == 1:
+        f, g = g, f
+    if len(f.terms) == 1:  # the result is positive, so already sign-normalized
+        (e, c), = f.terms.items()
+        for e2, c2 in g.terms.items():
+            e = tuple(map(min, e, e2))
+            c = _int_gcd(c, c2)
+        return Polynomial._raw(f.nvars, {e: c})
     cf, pf = _int_content_primitive(f)
     cg, pg = _int_content_primitive(g)
     h = _heuristic_gcd(pf, pg)

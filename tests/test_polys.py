@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cadorder.polys as polys_mod
+from cadorder import _kernel_py
 from cadorder.polys import (
     ExactDivisionError,
     Polynomial,
@@ -172,6 +175,44 @@ def test_exact_div_and_errors():
     assert exact_div(Polynomial.zero(3), X) == 0
 
 
+EXPONENTS = st.tuples(*[st.integers(0, 3)] * 3)
+COEFFICIENTS = st.integers(-12, 12).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.dictionaries(EXPONENTS, COEFFICIENTS, max_size=5),
+    e=EXPONENTS,
+    c=COEFFICIENTS,
+    multiple=st.booleans(),
+)
+def test_single_term_division_is_exact_or_refused(a, e, c, multiple):
+    b = {e: c}
+    if multiple:  # half the dividends are multiples of b, half mostly not
+        a = _kernel_py.kmul(a, b)
+    q = _kernel_py.kexact_div(a, b)
+    if q is not None:
+        assert _kernel_py.kmul(q, b) == a
+        assert all(min(eq) >= 0 for eq in q)
+    else:
+        assert not multiple
+        assert any(min(map(sub, ea, e)) < 0 or ca % c for ea, ca in a.items())
+
+
+@pytest.mark.parametrize("a,b,want", [
+    ({(2, 1, 0): 6, (1, 0, 0): -4}, {(1, 0, 0): -2}, {(1, 1, 0): -3, (0, 0, 0): 2}),
+    ({(2, 1, 0): 6, (0, 0, 0): 4}, {(1, 0, 0): 2}, None),  # a lower-degree term
+    ({(2, 1, 0): 6, (0, 0, 1): -4}, {(0, 0, 0): 1}, {(2, 1, 0): 6, (0, 0, 1): -4}),
+    ({(2, 1, 0): 6, (0, 0, 1): -4}, {(0, 0, 0): -1}, {(2, 1, 0): -6, (0, 0, 1): 4}),
+    ({(2, 1, 0): 6, (0, 0, 1): -4}, {(0, 0, 0): 2}, {(2, 1, 0): 3, (0, 0, 1): -2}),
+    ({(2, 1, 0): 6, (0, 0, 1): -4}, {(0, 0, 0): 3}, None),
+    ({(1, 0, 0): 7}, {(0, 0, 0): -2}, None),
+    ({(1, 1, 1): 5}, {(0, 2, 0): 5}, None),
+])
+def test_single_term_division_fixtures(a, b, want):
+    assert _kernel_py.kexact_div(a, b) == want
+
+
 def test_content_primitive_round_trip():
     f = 6 * Y * X * X - 4 * Y * Y * X
     cont, prim = content_primitive(f, 0)
@@ -220,6 +261,34 @@ def test_poly_gcd_fixture_and_properties():
         exact_div(f * w, d)
         exact_div(g * w, d)
         assert d == sign_normalize(d)
+
+
+def test_poly_gcd_of_a_single_term(monkeypatch):
+    cases = [
+        (6 * X**2 * Y, 4 * X * Y**3 - 10 * X**3, 2 * X),
+        (-4 * X * Z, -6 * X**2 * Z + 2 * X * Z**2, 2 * X * Z),
+        (-3 * Y * Z, X * Y + Z, ONE),
+        (-2 * X**2 * Y, 4 * X**3, 2 * X**2),
+    ]
+    # the single-term case is closed-form: it never reaches the heuristic gcd
+    monkeypatch.setattr(polys_mod, "_heuristic_gcd", None)
+    for m, g, want in cases:
+        assert poly_gcd(m, g) == want
+        assert poly_gcd(g, m) == want
+
+
+X2, Y2 = Polynomial.var(2, 0), Polynomial.var(2, 1)
+
+
+@pytest.mark.parametrize("f,g", [
+    (X2**2 + Y2, X * Z + X),
+    (X2 * Y2, X**2),  # a single-term operand
+    (Polynomial.zero(2), X),
+])
+def test_poly_gcd_rejects_mixed_variable_contexts(f, g):
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="different variable contexts"):
+            poly_gcd(a, b)
 
 
 def test_poly_gcd_fast_path_matches_full_remainder_sequence(monkeypatch):

@@ -2,7 +2,8 @@
 
 A third, independent implementation next to `oracles.py`: resultants and
 discriminants must agree exactly (resultants with the larger degree first,
-see `test_resultant_sign_follows_the_sylvester_determinant`), squarefree
+see `test_resultant_sign_follows_the_sylvester_determinant`), gcds with a
+single-term operand exactly (integer content included), squarefree
 parts up to sympy's content and sign, and real-root counts with
 `Poly.count_roots` (distinct roots).  The `.prob` parser is checked against
 sympy's expansion, since it shares the kernel's arithmetic with `Polynomial`.
@@ -13,12 +14,14 @@ import time
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cadorder.formula import Relop
 from cadorder.generator import GenParams, random_polynomial
 from cadorder.polys import (
     Polynomial,
     discriminant,
+    poly_gcd,
     resultant,
     sign_normalize,
     squarefree_part,
@@ -93,6 +96,19 @@ def test_resultant_sign_follows_the_sylvester_determinant():
     f, g = 2 * x, 3 * x**3 + 5 * x + 7
     assert resultant(f, g, 0) == 56 == sylvester(to_sympy(f), to_sympy(g), SYMS[0]).det()
     assert resultant(g, f, 0) == -56
+
+
+EXPONENTS = st.tuples(*[st.integers(0, 3)] * 3)
+COEFFICIENTS = st.integers(-12, 12).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=EXPONENTS, c=COEFFICIENTS, g=st.dictionaries(EXPONENTS, COEFFICIENTS, min_size=1, max_size=4))
+def test_gcd_with_a_single_term_equals_sympy_gcd(e, c, g):
+    m, g = Polynomial(3, {e: c}), Polynomial(3, g)
+    want = sign_normalize(from_sympy(sympy.gcd(to_sympy(m), to_sympy(g)), 3))
+    assert poly_gcd(m, g) == want
+    assert poly_gcd(g, m) == want
 
 
 @pytest.mark.parametrize("seed", range(6))
