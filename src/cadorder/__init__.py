@@ -1,7 +1,7 @@
 """Exact variable-ordering heuristics for cylindrical algebraic decomposition.
 
 Everything is computed over the integers with arbitrary precision: sparse
-polynomial arithmetic, subresultant resultants and discriminants, projection
+polynomial arithmetic, resultants and discriminants, projection
 operators, Descartes-bisection real-root counting, and the twelve ordering
 heuristics built on top of them.  A small harness generates random problem
 corpora and scores heuristic choices against measured decomposition costs.

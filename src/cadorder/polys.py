@@ -256,10 +256,14 @@ class Polynomial:
         d = self.degree(v)
         if d < 0:
             return []
+        return [Polynomial._raw(self.nvars, b) for b in reversed(self._coefficient_terms(v, d))]
+
+    def _coefficient_terms(self, v: int, d: int) -> list[dict]:
+        """Term maps of the coefficients of v**0 .. v**d, d the degree in v."""
         buckets: list[dict] = [{} for _ in range(d + 1)]
         for e, c in self.terms.items():
             buckets[e[v]][e[:v] + (0,) + e[v + 1:]] = c
-        return [Polynomial._raw(self.nvars, b) for b in reversed(buckets)]
+        return buckets
 
     def lcoeff(self, v: int) -> "Polynomial":
         """Leading coefficient with respect to v (v-free polynomial)."""
@@ -504,11 +508,14 @@ def squarefree_part(f: Polynomial) -> Polynomial:
 
 
 def resultant(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
-    """Resultant of f and g with respect to v, by the subresultant scheme.
+    """Resultant of f and g with respect to v.
 
-    Matches the determinant of the Sylvester matrix exactly (sign included).
-    Both arguments free of v yields the constant 1; a zero argument is an
-    error.
+    An operand b1*v + b0 linear in v is closed-form: the other operand
+    sum(a_k * v^k) of degree m, homogenised and evaluated at (b0 : -b1),
+    gives sum(a_k * b0^k * (-b1)^(m-k)), by Horner's rule.  Every other
+    pair of degrees goes through the subresultant scheme.  Either way the
+    result is the determinant of the Sylvester matrix (sign included).  Both
+    arguments free of v yields the constant 1; a zero argument is an error.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -526,6 +533,17 @@ def resultant(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
         m, n = n, m
     if n == 0:
         return (B ** m) * s
+    if n == 1:  # B = b1*v + b0: A homogenised at (b0 : -b1), by Horner
+        b0, b1 = B._coefficient_terms(v, 1)
+        a = A._coefficient_terms(v, m)
+        nb1 = _k.kneg(b1)
+        r, p = a[m], None  # p = (-b1)^(m-k) at a_k; None stands for 1
+        for ak in reversed(a[:m]):
+            r = _k.kmul(r, b0)
+            p = nb1 if p is None else _k.kmul(p, nb1)
+            if ak:
+                r = _k.kadd(r, _k.kmul(ak, p))
+        return Polynomial._raw(f.nvars, r if s > 0 else _k.kneg(r))
     a, A = _int_content_primitive(A)
     b, B = _int_content_primitive(B)
     t = a ** n * b ** m

@@ -21,6 +21,7 @@ from cadorder.polys import (
     sign_normalize,
     squarefree_part,
 )
+from oracles import sylvester_resultant
 
 NAMES = ("x", "y", "z")
 X = Polynomial.var(3, 0)
@@ -399,6 +400,13 @@ def test_resultant_fixtures():
     assert resultant(three, X * X + 1, 0) == 9
     # both arguments free of the main variable
     assert resultant(Y + 1, Z - 2, 0) == 1
+    # a linear operand b1*x + b0; with b0 = 0 only a_0 survives, times (-b1)^m
+    assert resultant(X**3 + Y * X + Z, Y * X, 0) == -(Y**3) * Z
+    assert resultant(Y * X, X**3 + Y * X + Z, 0) == Y**3 * Z  # (-1)^(3*1) on swapping
+    # b1 not constant, gaps in A: a_3 b0^3 + a_0 (-b1)^3 at b0 = 1
+    assert resultant(2 * X**3 - 5, (Y + Z) * X + 1, 0) == 2 + 5 * (Y + Z) ** 3
+    assert resultant(Y * X + 2, X - Z, 0) == -(Y * Z) - 2
+    assert resultant(X - Z, Y * X + 2, 0) == Y * Z + 2
     with pytest.raises(ValueError):
         resultant(Polynomial.zero(3), X, 0)
 
@@ -437,6 +445,56 @@ def test_resultant_swap_sign():
         sign = -1 if (m * n) % 2 else 1
         assert resultant(f, g, 0) == sign * resultant(g, f, 0)
         done += 1
+
+
+@st.composite
+def linear_pairs(draw):
+    """(A, B, v): A of degree 1-6 in v with gaps among its coefficients,
+    B = b1*v + b0 with b0 often 0 and b1 often not constant (all a_k, b0
+    and b1 free of v)."""
+    nvars = draw(st.integers(1, 3))
+    v = draw(st.integers(0, nvars - 1))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars).map(lambda e: e[:v] + (0,) + e[v + 1:])
+
+    def free(min_size):  # a polynomial free of v
+        return Polynomial(nvars, draw(st.dictionaries(exps, COEFFICIENTS, min_size=min_size, max_size=3)))
+
+    m = draw(st.integers(1, 6))
+    a = [free(0) for _ in range(m)] + [free(1)]  # a_0 .. a_m; a zero a_k is a gap
+    A = sum((ak * Polynomial.var(nvars, v, k) for k, ak in enumerate(a)), Polynomial.zero(nvars))
+    B = free(1) * Polynomial.var(nvars, v) + free(0)
+    return A, B, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_pairs())
+def test_resultant_with_a_linear_operand_is_the_sylvester_determinant(pair):
+    A, B, v = pair
+    want = sylvester_resultant(A, B, v)
+    assert resultant(A, B, v) == want
+    assert resultant(B, A, v) == sylvester_resultant(B, A, v) == want * (-1) ** A.degree(v)
+
+
+def test_resultant_with_a_linear_operand_skips_content_and_prem(monkeypatch):
+    counts = {"prem": 0, "content": 0}
+    real_prem, real_content = polys_mod.prem, polys_mod._int_content_primitive
+
+    def counted_prem(*args):
+        counts["prem"] += 1
+        return real_prem(*args)
+
+    def counted_content(f):
+        counts["content"] += 1
+        return real_content(f)
+
+    monkeypatch.setattr(polys_mod, "prem", counted_prem)
+    monkeypatch.setattr(polys_mod, "_int_content_primitive", counted_content)
+    resultant(6 * X**4 * Y - 4 * X**2 + 2 * Z, 3 * Y * X + 9 * Z, 0)
+    resultant(3 * X - 6, 2 * X**2 + 4 * Y, 0)
+    discriminant(4 * X**2 + 6 * Y * X - 2, 0)  # through resultant(f, f')
+    assert counts == {"prem": 0, "content": 0}
+    resultant(X**2 + Y, X**2 - Z, 0)  # the counters see the subresultant path
+    assert counts["prem"] > 0 and counts["content"] > 0
 
 
 def test_discriminant_fixtures():

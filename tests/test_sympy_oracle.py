@@ -65,6 +65,20 @@ def rand_poly(rng, nvars, max_deg=3, terms=4, bound=6, factor=True):
     return f
 
 
+def assert_resultant_and_discriminant_equal_sympy(f, g, v):
+    nvars, x = f.nvars, SYMS[v]
+    m, n = f.degree(v), g.degree(v)
+    if m >= 1 and n >= 1:
+        if m < n:
+            f, g, m, n = g, f, n, m
+        want = from_sympy(sympy.resultant(to_sympy(f), to_sympy(g), x), nvars)
+        assert resultant(f, g, v) == want
+        assert resultant(g, f, v) == want * (-1) ** (m * n)
+    if f.degree(v) >= 2:
+        want = from_sympy(sympy.discriminant(to_sympy(f), x), nvars)
+        assert discriminant(f, v) == want
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_resultant_and_discriminant_equal_sympy(seed):
     rng = random.Random(seed)
@@ -72,18 +86,30 @@ def test_resultant_and_discriminant_equal_sympy(seed):
         nvars = rng.randint(1, 3)
         f = rand_poly(rng, nvars, factor=False)
         g = rand_poly(rng, nvars, factor=False)
+        assert_resultant_and_discriminant_equal_sympy(f, g, rng.randrange(nvars))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_resultant_and_discriminant_with_a_linear_operand_equal_sympy(seed):
+    # g = b1*v + b0 is linear in v, and so is the derivative of the quadratic q
+    rng = random.Random(400 + seed)
+    for _ in range(12):
+        nvars = rng.randint(1, 3)
         v = rng.randrange(nvars)
-        x = SYMS[v]
-        m, n = f.degree(v), g.degree(v)
-        if m >= 1 and n >= 1:
-            if m < n:
-                f, g, m, n = g, f, n, m
-            want = from_sympy(sympy.resultant(to_sympy(f), to_sympy(g), x), nvars)
-            assert resultant(f, g, v) == want
-            assert resultant(g, f, v) == want * (-1) ** (m * n)
-        if f.degree(v) >= 2:
-            want = from_sympy(sympy.discriminant(to_sympy(f), x), nvars)
-            assert discriminant(f, v) == want
+        xv = Polynomial.var(nvars, v)
+
+        def free():  # free of v, zero a quarter of the time
+            if rng.random() < 0.25:
+                return Polynomial.zero(nvars)
+            f = rand_poly(rng, nvars, factor=False)
+            return Polynomial(nvars, {e[:v] + (0,) + e[v + 1:]: c for e, c in f.terms.items()})
+
+        b1 = free() or Polynomial.const(nvars, rng.choice((-3, 2, 5)))
+        g = b1 * xv + free()
+        f = rand_poly(rng, nvars, factor=False) + rng.choice((-2, 1, 3)) * xv ** rng.randint(1, 5)
+        q = b1 * xv**2 + free() * xv + free()
+        assert_resultant_and_discriminant_equal_sympy(f, g, v)
+        assert_resultant_and_discriminant_equal_sympy(q, g, v)
 
 
 def test_resultant_sign_follows_the_sylvester_determinant():
