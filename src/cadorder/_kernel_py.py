@@ -2,15 +2,16 @@
 
 A polynomial with n variables is stored as a dict mapping exponent tuples of
 length n to nonzero coefficients.  The functions below are the inner loops
-of every resultant, gcd and projection computation in the package, and of
-the ``.prob`` parser.  This is the package's only kernel; ``polys`` and
-``probio`` import this module directly and call it through module
+of every gcd and projection computation in the package, of the ``.prob``
+parser, and of the one pseudo-remainder that resultants and ``prem`` share,
+which runs them on lists of coefficient term maps in one variable.  This is
+the package's only kernel; ``polys`` and ``probio`` call it through module
 attributes.
 
-``kleading``, ``kadd``, ``ksub``, ``kneg``, ``kscale``, ``kmul``, ``kpow``,
-``kterm_mul`` and ``kderiv`` accept any exact coefficients: the parser runs
-them on ``Fraction`` term maps.  ``kint_content`` and ``kexact_div`` need
-integer coefficients.
+``kleading``, ``kadd``, ``ksub``, ``kneg``, ``kscale``, ``kmul``, ``kpow``
+and ``kderiv`` accept any exact coefficients: the parser runs them on
+``Fraction`` term maps.  ``kint_content`` and ``kexact_div`` need integer
+coefficients.
 """
 
 from math import gcd as _int_gcd
@@ -88,13 +89,6 @@ def kpow(a, n, one):
         if n:
             a = kmul(a, a)
     return out
-
-
-def kterm_mul(a, mono, c):
-    """Multiply a by the single term c * X^mono (c may be negative, not 0)."""
-    if c == 0:
-        return {}
-    return {tuple(map(_add, e, mono)): c * v for e, v in a.items()}
 
 
 def kderiv(a, v):

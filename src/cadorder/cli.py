@@ -218,14 +218,20 @@ def _group_lookup(manifest_path: str | None):
 
 
 def _cmd_eval(args) -> int:
+    out = Path(args.out)
+    aggregate_path = args.aggregate_out or out.with_name("aggregate.csv")
+    summary_path = args.summary_out or out.with_name("summary.csv")
+    seen: dict[Path, str] = {}
+    for what, path in (("savings", out), ("aggregate", aggregate_path), ("summary", summary_path)):
+        first = seen.setdefault(Path(path).resolve(), what)
+        if first != what:  # the later write would overwrite the earlier output
+            raise _InputError(f"the {first} and {what} CSVs would both be written to {path}; "
+                              "give --out, --aggregate-out and --summary-out distinct paths")
     costs = CostTable.load(args.costs)
     choices = read_choices(args.choices)
     group_of = _group_lookup(args.manifest)
     savings, aggregate, summary, exclusions = compute_savings(costs, choices, group_of)
     write_savings(savings, args.out)
-    out = Path(args.out)
-    aggregate_path = args.aggregate_out or out.with_name("aggregate.csv")
-    summary_path = args.summary_out or out.with_name("summary.csv")
     write_aggregate(aggregate, aggregate_path)
     write_summary(summary, summary_path)
     for note in exclusions:

@@ -13,6 +13,9 @@ Conventions used throughout the package:
   is the constant 1;
 * discriminants of polynomials of degree < 2 in the main variable are 1;
 * gcds include the shared integer content and are sign-normalized.
+
+Resultants and ``prem`` share one pseudo-remainder, on lists of the
+coefficient term maps of their operands in the eliminated variable.
 """
 
 from __future__ import annotations
@@ -229,16 +232,6 @@ class Polynomial:
         _check_index(v, self.nvars)
         return Polynomial._raw(self.nvars, _k.kderiv(self.terms, v))
 
-    def _shifted(self, v: int, power: int) -> "Polynomial":
-        """Multiply by v**power (power >= 0)."""
-        if not 0 <= v < self.nvars:
-            _check_index(v, self.nvars)
-        if power == 0 or not self.terms:
-            return self
-        mono = [0] * self.nvars
-        mono[v] = power
-        return Polynomial._raw(self.nvars, _k.kterm_mul(self.terms, tuple(mono), 1))
-
     # -- structure in one variable ------------------------------------------
 
     def coefficient(self, v: int, power: int) -> "Polynomial":
@@ -360,27 +353,44 @@ def content_primitive(f: Polynomial, v: int) -> tuple[Polynomial, Polynomial]:
     return cont, exact_div(f, cont)
 
 
+def _list_prem(a: list[dict], b: list[dict]) -> list[dict]:
+    """Pseudo-remainder, multiplier lc(b)^(deg a - deg b + 1), of coefficient
+    term maps in v (lowest power first, top entry nonzero, len(a) >= len(b));
+    trailing zero entries are dropped, so the degree is the length - 1."""
+    *b, lb = b
+    r = a[:]
+    for k in range(len(r) - len(b) - 1, -1, -1):
+        top = r.pop()
+        r = [_k.kmul(c, lb) for c in r]
+        if top:
+            for i, bi in enumerate(b, k):
+                r[i] = _k.ksub(r[i], _k.kmul(top, bi))
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _quotient(a: dict, b: dict) -> dict:
+    """Term map of the exact quotient a / b; ExactDivisionError otherwise."""
+    q = _k.kexact_div(a, b)
+    if q is None:
+        raise ExactDivisionError("a division in the subresultant scheme was not exact")
+    return q
+
+
 def prem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
     """Pseudo-remainder of f by g in v with multiplier lc(g)^(df-dg+1)."""
+    if f.nvars != g.nvars:
+        raise ValueError("mixing polynomials from different variable contexts")
     dg = g.degree(v)
     if dg < 0:
         raise ZeroDivisionError("pseudo-division by zero")
     df = f.degree(v)
     if df < dg:
         raise ValueError("pseudo-division needs deg f >= deg g")
-    lg = g.lcoeff(v)
-    r = f
-    e = 0
-    while not r.is_zero():
-        dr = r.degree(v)
-        if dr < dg:
-            break
-        r = lg * r - (r.lcoeff(v) * g)._shifted(v, dr - dg)
-        e += 1
-    n = df - dg + 1
-    if e < n:
-        r = r * lg ** (n - e)
-    return r
+    r = _list_prem(f._coefficient_terms(v, df), g._coefficient_terms(v, dg))
+    return Polynomial._raw(f.nvars, {e[:v] + (i,) + e[v + 1:]: x
+                                     for i, c in enumerate(r) for e, x in c.items()})
 
 
 def _evaluate(f: Polynomial, v: int, xi: int) -> Polynomial:
@@ -547,32 +557,24 @@ def resultant(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
     a, A = _int_content_primitive(A)
     b, B = _int_content_primitive(B)
     t = a ** n * b ** m
-    one = Polynomial.const(f.nvars, 1)
+    A, B = A._coefficient_terms(v, m), B._coefficient_terms(v, n)
+    one = {(0,) * f.nvars: 1}
     gg, h = one, one
-    while True:
-        dA, dB = A.degree(v), B.degree(v)
+    while len(B) > 1:  # n >= 2, so B starts with at least three entries
+        dA, dB = len(A) - 1, len(B) - 1
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
             s = -s
-        R = prem(A, B, v)
-        A = B
-        B = exact_div(R, gg * h ** delta) if not R.is_zero() else R
-        gg = A.lcoeff(v)
-        if delta == 1:
-            h = gg
-        elif delta > 1:
-            h = exact_div(gg ** delta, h ** (delta - 1))
-        if B.degree(v) <= 0:
-            break
-    if B.is_zero():
+        d = _k.kmul(gg, _k.kpow(h, delta, one))
+        A, B = B, [_quotient(c, d) for c in _list_prem(A, B)]
+        gg = A[-1]
+        if delta:
+            h = _quotient(_k.kpow(gg, delta, one), _k.kpow(h, delta - 1, one))
+    if not B:
         return Polynomial.zero(f.nvars)
-    dA = A.degree(v)
-    lB = B.lcoeff(v)
-    if dA > 1:
-        h = exact_div(lB ** dA, h ** (dA - 1))
-    else:
-        h = lB
-    return h * (s * t)
+    dA = len(A) - 1  # the last step, with B[0] free of v, gives the resultant
+    h = _quotient(_k.kpow(B[0], dA, one), _k.kpow(h, dA - 1, one))
+    return Polynomial._raw(f.nvars, _k.kscale(h, s * t))
 
 
 def discriminant(f: Polynomial, v: int) -> Polynomial:

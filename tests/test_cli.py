@@ -361,6 +361,26 @@ def test_eval_reports_exclusions_on_stderr(tmp_path, capsys):
     assert stdout == f"wrote 1 savings rows to {tmp_path / 'savings.csv'}\n"
 
 
+@pytest.mark.parametrize("outputs,clash", [
+    (("aggregate.csv",), "aggregate.csv"),  # the default aggregate path is --out
+    (("summary.csv",), "summary.csv"),
+    (("s.csv", "--aggregate-out", "s.csv"), "s.csv"),
+    (("s.csv", "--summary-out", "sub/../a.csv", "--aggregate-out", "a.csv"), "sub/../a.csv"),
+])
+def test_eval_refuses_two_outputs_at_one_path(tmp_path, capsys, monkeypatch, outputs, clash):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    out, *rest = outputs
+    code, stdout, err = run(
+        capsys, "eval", "--costs", "missing-costs.csv", "--choices", "missing-choices.csv",
+        "--out", out, *rest,
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: the ") and err.rstrip().endswith("distinct paths")
+    assert f"written to {clash};" in err  # refused before the missing inputs are read
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 def test_eval_missing_cost_rows_is_an_input_error(tmp_path, capsys):
     choices_path = tmp_path / "choices.csv"
     choices_path.write_text(

@@ -149,7 +149,7 @@ def test_variable_index_out_of_range_is_rejected(v):
     f = X * Y + Y**2 + 1
     for method in (lambda: f.coefficient(v, 0), lambda: f.coefficients(v),
                    lambda: f.derivative(v), lambda: f.degree(v),
-                   lambda: f._shifted(v, 1), lambda: Polynomial.zero(3).degree(v)):
+                   lambda: Polynomial.zero(3).degree(v)):
         with pytest.raises(ValueError, match="out of range"):
             method()
     with pytest.raises(ValueError, match="out of range"):
@@ -243,6 +243,47 @@ def test_prem_is_exact_multiplier_pseudo_remainder():
         prem(X, Polynomial.zero(3), 0)
     with pytest.raises(ValueError):
         prem(X, X * X, 0)
+    with pytest.raises(ValueError, match="contexts"):
+        prem(X * X, Polynomial.var(2, 0), 0)
+
+
+def _free_poly(draw, nvars, v, min_size, max_size=3):
+    """A polynomial free of variable v, exponents 0-2 in the others."""
+    exps = st.tuples(*[st.integers(0, 2)] * nvars).map(lambda e: e[:v] + (0,) + e[v + 1:])
+    return Polynomial(nvars, draw(st.dictionaries(exps, COEFFICIENTS, min_size=min_size,
+                                                  max_size=max_size)))
+
+
+def _in_v(coefficients, nvars, v):
+    """sum(c_k * v^k) over the v-free c_0 .. c_d."""
+    return sum((c * Polynomial.var(nvars, v, k) for k, c in enumerate(coefficients)),
+               Polynomial.zero(nvars))
+
+
+@st.composite
+def prem_pairs(draw):
+    """(f, g, v): deg_v f 3-6, deg_v f - deg_v g >= 2, middle coefficients
+    often zero, and lc(g) not constant when there is a variable besides v,
+    so that some pseudo-division steps pop a zero top entry."""
+    nvars = draw(st.integers(1, 3))
+    v = draw(st.integers(0, nvars - 1))
+    df = draw(st.integers(3, 6))
+    dg = draw(st.integers(1, df - 2))
+    lg = _free_poly(draw, nvars, v, 1)
+    if nvars > 1:
+        lg = lg * Polynomial.var(nvars, (v + 1) % nvars)
+    f = [_free_poly(draw, nvars, v, 0) for _ in range(df)] + [_free_poly(draw, nvars, v, 1)]
+    g = [_free_poly(draw, nvars, v, 0) for _ in range(dg)] + [lg]
+    return _in_v(f, nvars, v), _in_v(g, nvars, v), v
+
+
+@settings(max_examples=200, deadline=None)
+@given(prem_pairs())
+def test_list_pseudo_remainder_property(pair):
+    f, g, v = pair
+    r = prem(f, g, v)
+    assert r.degree(v) < g.degree(v)
+    exact_div(g.lcoeff(v) ** (f.degree(v) - g.degree(v) + 1) * f - r, g)  # must not raise
 
 
 def test_poly_gcd_fixture_and_properties():
@@ -454,16 +495,10 @@ def linear_pairs(draw):
     and b1 free of v)."""
     nvars = draw(st.integers(1, 3))
     v = draw(st.integers(0, nvars - 1))
-    exps = st.tuples(*[st.integers(0, 2)] * nvars).map(lambda e: e[:v] + (0,) + e[v + 1:])
-
-    def free(min_size):  # a polynomial free of v
-        return Polynomial(nvars, draw(st.dictionaries(exps, COEFFICIENTS, min_size=min_size, max_size=3)))
-
     m = draw(st.integers(1, 6))
-    a = [free(0) for _ in range(m)] + [free(1)]  # a_0 .. a_m; a zero a_k is a gap
-    A = sum((ak * Polynomial.var(nvars, v, k) for k, ak in enumerate(a)), Polynomial.zero(nvars))
-    B = free(1) * Polynomial.var(nvars, v) + free(0)
-    return A, B, v
+    a = [_free_poly(draw, nvars, v, 0) for _ in range(m)] + [_free_poly(draw, nvars, v, 1)]
+    B = _in_v([_free_poly(draw, nvars, v, 0), _free_poly(draw, nvars, v, 1)], nvars, v)
+    return _in_v(a, nvars, v), B, v  # a zero a_k is a gap
 
 
 @settings(max_examples=150, deadline=None)
@@ -477,7 +512,7 @@ def test_resultant_with_a_linear_operand_is_the_sylvester_determinant(pair):
 
 def test_resultant_with_a_linear_operand_skips_content_and_prem(monkeypatch):
     counts = {"prem": 0, "content": 0}
-    real_prem, real_content = polys_mod.prem, polys_mod._int_content_primitive
+    real_prem, real_content = polys_mod._list_prem, polys_mod._int_content_primitive
 
     def counted_prem(*args):
         counts["prem"] += 1
@@ -487,7 +522,7 @@ def test_resultant_with_a_linear_operand_skips_content_and_prem(monkeypatch):
         counts["content"] += 1
         return real_content(f)
 
-    monkeypatch.setattr(polys_mod, "prem", counted_prem)
+    monkeypatch.setattr(polys_mod, "_list_prem", counted_prem)
     monkeypatch.setattr(polys_mod, "_int_content_primitive", counted_content)
     resultant(6 * X**4 * Y - 4 * X**2 + 2 * Z, 3 * Y * X + 9 * Z, 0)
     resultant(3 * X - 6, 2 * X**2 + 4 * Y, 0)
@@ -495,6 +530,44 @@ def test_resultant_with_a_linear_operand_skips_content_and_prem(monkeypatch):
     assert counts == {"prem": 0, "content": 0}
     resultant(X**2 + Y, X**2 - Z, 0)  # the counters see the subresultant path
     assert counts["prem"] > 0 and counts["content"] > 0
+
+
+@st.composite
+def subresultant_pairs(draw):
+    """(A, B, v), both of degree at least 2 in v, of one of three shapes:
+    A = B*Q + R with deg_v R <= deg_v B - 2, so a remainder degree drops by
+    two or more (delta > 1); A and B with a common factor of positive degree
+    in v (zero resultant); or two unrelated operands."""
+    nvars = draw(st.integers(1, 3))
+    v = draw(st.integers(0, nvars - 1))
+
+    def poly(d):  # degree d in v, v-free coefficients with exponents 0-2
+        cs = [_free_poly(draw, nvars, v, 0, 2) for _ in range(d)]
+        return _in_v(cs + [_free_poly(draw, nvars, v, 1, 2)], nvars, v)
+
+    shape = draw(st.sampled_from(("drop", "common", "plain")))
+    if shape == "drop":
+        dB = draw(st.integers(2, 3))
+        B = poly(dB)
+        A = B * poly(draw(st.integers(0, 2))) + poly(draw(st.integers(0, dB - 2)))
+    elif shape == "common":
+        C = poly(draw(st.integers(1, 2)))
+        A, B = C * poly(draw(st.integers(1, 2))), C * poly(draw(st.integers(1, 2)))
+    else:
+        A, B = poly(draw(st.integers(2, 4))), poly(draw(st.integers(2, 4)))
+    return A, B, v, shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(subresultant_pairs())
+def test_subresultant_path_is_the_sylvester_determinant(pair):
+    A, B, v, shape = pair
+    m, n = A.degree(v), B.degree(v)
+    assert m >= 2 and n >= 2  # the linear closed form never answers
+    want = sylvester_resultant(A, B, v)
+    assert resultant(A, B, v) == want
+    assert resultant(B, A, v) == want * (-1) ** (m * n)
+    assert shape != "common" or want == 0
 
 
 def test_discriminant_fixtures():
