@@ -40,7 +40,7 @@ from cadorder.heuristics import (
     suggest,
 )
 from cadorder.probio import ProblemFormatError, parse_problem, print_problem
-from cadorder.projection import project_cascade
+from cadorder.projection import Workspace, project_cascade
 
 _ALL_IDS = [h.value for h in HeuristicId]
 
@@ -221,9 +221,15 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     aggregate_path = args.aggregate_out or out.with_name("aggregate.csv")
     summary_path = args.summary_out or out.with_name("summary.csv")
+    given = (("--costs", args.costs), ("--choices", args.choices), ("--manifest", args.manifest))
+    inputs = {Path(path).resolve(): flag for flag, path in given if path}
     seen: dict[Path, str] = {}
     for what, path in (("savings", out), ("aggregate", aggregate_path), ("summary", summary_path)):
-        first = seen.setdefault(Path(path).resolve(), what)
+        where = Path(path).resolve()
+        if where in inputs:
+            raise _InputError(f"the {what} CSV would overwrite the {inputs[where]} input {path}; "
+                              "give the outputs paths distinct from the inputs")
+        first = seen.setdefault(where, what)
         if first != what:  # the later write would overwrite the earlier output
             raise _InputError(f"the {first} and {what} CSVs would both be written to {path}; "
                               "give --out, --aggregate-out and --summary-out distinct paths")
@@ -253,16 +259,17 @@ def _cmd_measure(args) -> int:
     inputs = problem.defining_polynomials()
     print(f"input_polys: {len(inputs)}")
     print(f"input_sotd: {sotd(inputs)}")
-    for kind in ("full", "tti"):
-        stages = project_cascade(problem, ordering, kind)
-        print(f"{kind}_cascade_sotd: {MEASURES['sotd'](problem, stages)}")
-        print(f"{kind}_final_ndrr: {MEASURES['ndrr'](problem, stages)}")
-        for k, stage in enumerate(stages):
-            print(
-                f"{kind}_stage level={problem.nvars - k - 1} "
-                f"eliminated={ordering.variables[k].name} "
-                f"size={len(stage)} sotd={sotd(stage)}"
-            )
+    with Workspace():  # both cascades and their ndrr share work, as in a heuristic call
+        for kind in ("full", "tti"):
+            stages = project_cascade(problem, ordering, kind)
+            print(f"{kind}_cascade_sotd: {MEASURES['sotd'](problem, stages)}")
+            print(f"{kind}_final_ndrr: {MEASURES['ndrr'](problem, stages)}")
+            for k, stage in enumerate(stages):
+                print(
+                    f"{kind}_stage level={problem.nvars - k - 1} "
+                    f"eliminated={ordering.variables[k].name} "
+                    f"size={len(stage)} sotd={sotd(stage)}"
+                )
     return 0
 
 

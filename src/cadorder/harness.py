@@ -10,7 +10,8 @@ ordering heuristics against the average over all orderings:
 A sweep's heuristic_time_s is `suggest`'s elapsed time: the heuristic run
 alone, with its own projection workspace (the memo of squarefree parts,
 resultants, discriminants and cascade stages it builds and drops within the
-call), and nothing shared with other heuristics or problems.
+call), and nothing shared with other heuristics or problems, because
+`run_sweep` opens no workspace around it.
 
 The eval is exact and runs on integers until a caller reads a value:
 
@@ -150,26 +151,12 @@ def run_sweep(
             try:
                 report = suggest(problem, hid)
             except OrderingCapError:
-                rows.append(
-                    ChoiceRow(problem_id, hid.value, "", 0.0, False,
-                              "ordering-cap-exceeded")
-                )
+                outcome = ("", 0.0, False, "ordering-cap-exceeded")
             except Exception as exc:  # keep sweeping, report the failure
-                rows.append(
-                    ChoiceRow(problem_id, hid.value, "", 0.0, False,
-                              f"error: {exc}")
-                )
+                outcome = ("", 0.0, False, f"error: {exc}")
             else:
-                rows.append(
-                    ChoiceRow(
-                        problem_id,
-                        hid.value,
-                        str(report.choice),
-                        report.elapsed,
-                        report.fallback_lex,
-                        "ok",
-                    )
-                )
+                outcome = (str(report.choice), report.elapsed, report.fallback_lex, "ok")
+            rows.append(ChoiceRow(problem_id, hid.value, *outcome))
     rows.sort(key=_choice_key)
     return rows
 

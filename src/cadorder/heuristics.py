@@ -326,10 +326,11 @@ _HEURISTICS: dict[HeuristicId, tuple[Callable[..., HeuristicReport], tuple]] = {
 def suggest(problem: Problem, heuristic: HeuristicId | str) -> HeuristicReport:
     """Run one heuristic on a problem; the report includes wall-clock time.
 
-    The heuristic runs inside its own projection `Workspace`, opened and
-    dropped inside the timed region, so `elapsed` is the cost of this
-    heuristic alone, its own memo included, and no work is shared with any
-    other call.
+    The heuristic runs inside a projection `Workspace` entered inside the
+    timed region, which joins one the caller has open.  `run_sweep` and the
+    command line open none around it, so there each call runs in its own
+    workspace: `elapsed` is the cost of this heuristic alone, its own memo
+    included, and no work is shared with any other call.
     """
     hid = HeuristicId(heuristic) if not isinstance(heuristic, HeuristicId) else heuristic
     start = time.perf_counter()

@@ -26,19 +26,19 @@ under ``(function, *arguments)`` (resultant arguments in order: swapping f
 and g can flip the sign) and stages under ``(problem, kind, ordered prefix
 of eliminated variable indices)``, so a greedy step and a cascade with the
 same prefix share one stage.  A squarefree part is also stored under
-itself.  `heuristics.suggest` opens one workspace per heuristic call and
-drops it when the heuristic returns or raises, so nothing is shared between
-heuristics or problems.  `realroots.ndrr` opens one for its call when none
-is open (`_workspace`).  Nothing else opens one, and outside a workspace
-nothing is stored.  On a miss the lookup calls `squarefree_part`,
-`resultant`, `discriminant`, `mccallum_project` and `ttiprojection` as
-module attributes, so a wrapper bound over them sees exactly the work that
-was done.
+itself.  Entering a workspace while one is open joins the open one: the
+block reads and fills the open memo, and only the outermost block closes
+it.  `heuristics.suggest`, `realroots.ndrr` and ``cadorder measure`` each
+enter one, so a heuristic call run with none open (as the sweep and the
+command line run it) shares nothing with other heuristics or problems.
+Outside a workspace nothing is stored.  On a miss the lookup calls
+`squarefree_part`, `resultant`, `discriminant`, `mccallum_project` and
+`ttiprojection` as module attributes, so a wrapper bound over them sees
+exactly the work that was done.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from contextvars import ContextVar
 from itertools import combinations
 from typing import Callable, Collection, Hashable, Iterable
@@ -68,32 +68,33 @@ __all__ = [
 class Workspace:
     """Memo of projection work, active inside ``with Workspace():``.
 
-    See the module docstring for what is stored and under which keys.  The
-    memo is one plain dict and lives as long as the object; leaving the
-    block only stops new lookups from reaching it.
+    Entering a workspace while one is open joins the open one: ``with``
+    yields the open workspace, and leaving the block leaves it open.  See
+    the module docstring for what is stored and under which keys.  The memo
+    is one plain dict and lives as long as the object; leaving the
+    outermost block only stops new lookups from reaching it.
     """
 
     def __init__(self):
         self.memo: dict[Hashable, object] = {}
-        self._token = None
+        self._tokens: list = []  # per entry: the token that opened it, or None
 
     def __enter__(self) -> "Workspace":
-        self._token = _OPEN.set(self)
+        open_ws = _OPEN.get()
+        if open_ws is not None:
+            self._tokens.append(None)
+            return open_ws
+        self._tokens.append(_OPEN.set(self))
         return self
 
     def __exit__(self, *exc) -> None:
-        _OPEN.reset(self._token)
-        self._token = None
+        token = self._tokens.pop()
+        if token is not None:
+            _OPEN.reset(token)
 
 
 # The workspace the running code reads through, or None.
-_OPEN: ContextVar[Workspace | None] = ContextVar("cadorder_projection_workspace", default=None)
-
-
-def _workspace() -> Workspace | nullcontext:
-    """A new `Workspace` to enter, or a null context when one is already
-    open: a workspace cannot be re-entered, and the open one serves."""
-    return Workspace() if _OPEN.get() is None else nullcontext()
+_OPEN: ContextVar[Workspace | None] = ContextVar("cadorder.projection.open", default=None)
 
 
 def _memo(fn: Callable, *args, key: Hashable = None):

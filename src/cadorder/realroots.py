@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from cadorder.polys import Polynomial, squarefree_part
-from cadorder.projection import _memo, _workspace, normalize_set
+from cadorder.projection import Workspace, _memo, normalize_set
 
 __all__ = ["count_real_roots", "ndrr"]
 
@@ -75,8 +75,8 @@ def ndrr(polys: Iterable[Polynomial]) -> int:
 
     Root counts shared between different polynomials are counted once per
     polynomial; only exact duplicates of the canonical form collapse.
-    Constants contribute zero.  Runs inside a workspace, opened here when
-    none is open, so each member's squarefree part is taken once.
+    Constants contribute zero.  Runs inside a workspace (joining the open
+    one, if any), so each member's squarefree part is taken once.
     """
-    with _workspace():
+    with Workspace():
         return sum(count_real_roots(g) for g in normalize_set(polys))

@@ -381,6 +381,37 @@ def test_eval_refuses_two_outputs_at_one_path(tmp_path, capsys, monkeypatch, out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
+@pytest.mark.parametrize("choices,outputs,clash", [
+    ("c.csv", ("--out", "c.csv"), "the savings CSV would overwrite the --choices input c.csv"),
+    ("c.csv", ("--out", "s.csv", "--aggregate-out", "sub/../costs.csv"),
+     "the aggregate CSV would overwrite the --costs input sub/../costs.csv"),
+    ("c.csv", ("--out", "s.csv", "--summary-out", "manifest.csv"),
+     "the summary CSV would overwrite the --manifest input manifest.csv"),
+    # the default aggregate.csv next to --out is the choices file
+    ("aggregate.csv", ("--out", "s.csv"),
+     "the aggregate CSV would overwrite the --choices input aggregate.csv"),
+])
+def test_eval_refuses_to_overwrite_an_input(tmp_path, capsys, monkeypatch, choices, outputs, clash):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    inputs = {
+        "costs.csv": "problem_id,ordering,cells,time_s\np-000,x>y,10,1.0\np-000,y>x,30,3.0\n",
+        choices: "problem_id,heuristic,ordering,heuristic_time_s,fallback_lex,status\n"
+                 "p-000,brown,x>y,0.0,false,ok\n",
+        "manifest.csv": "id,label,seed,path\np-000,p,0,p-000.prob\n",
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    code, stdout, err = run(
+        capsys, "eval", "--costs", "costs.csv", "--choices", choices,
+        "--manifest", "manifest.csv", *outputs,
+    )
+    assert code == 2 and stdout == ""
+    assert err == f"error: {clash}; give the outputs paths distinct from the inputs\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*inputs, "sub"])
+    assert all((tmp_path / name).read_text() == text for name, text in inputs.items())
+
+
 def test_eval_missing_cost_rows_is_an_input_error(tmp_path, capsys):
     choices_path = tmp_path / "choices.csv"
     choices_path.write_text(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import naive_csv_texts, naive_savings
 
+from cadorder import harness
 from cadorder.formula import Constraint, Problem, QFF, Relop, Variable
 from cadorder.generator import GenParams, random_problem
 from cadorder.harness import (
@@ -527,3 +528,26 @@ def test_sweep_records_cap_failures_and_continues():
     assert by_h["sotd"].status == "ordering-cap-exceeded"
     assert by_h["sotd"].ordering == ""
     assert by_h["brown"].status == "ok"
+
+
+def test_sweep_records_other_failures_and_continues(monkeypatch):
+    suggest = harness.suggest
+
+    def failing(problem, hid):
+        if hid is HeuristicId.NDRR:
+            raise ArithmeticError("boom")
+        return suggest(problem, hid)
+
+    monkeypatch.setattr(harness, "suggest", failing)
+    params = GenParams(n_vars=2, max_tdeg=2, terms=2, coeff_bound=5, seed=5)
+    corpus = [(f"10-00{i}", random_problem("10", params, i)) for i in (1, 0)]
+    hids = [HeuristicId.SOTD, HeuristicId.NDRR, HeuristicId.BROWN]
+    rows = run_sweep(corpus, hids)
+    assert [(r.problem_id, r.heuristic) for r in rows] == sorted(
+        (pid, h.value) for pid, _ in corpus for h in hids
+    )
+    for r in rows:
+        if r.heuristic == "ndrr":
+            assert r[2:] == ("", 0.0, False, "error: boom")
+        else:
+            assert r.status == "ok" and r.ordering.count(">") == 1

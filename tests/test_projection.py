@@ -188,6 +188,38 @@ def test_projection_stage_is_the_cascade_stage_with_that_prefix(kind):
                 assert project_cascade(p, o, kind)[k - 1] == cascade[k - 1]
 
 
+def test_a_nested_workspace_joins_the_open_one():
+    outer, inner = projection.Workspace(), projection.Workspace()
+    assert projection._OPEN.get() is None
+    with outer as ws:
+        assert ws is outer and projection._OPEN.get() is outer
+        with inner as joined:
+            assert joined is outer and projection._OPEN.get() is outer
+            with outer as again:  # the open workspace itself joins too
+                assert again is outer
+            assert projection._OPEN.get() is outer
+        assert projection._OPEN.get() is outer  # leaving the inner block leaves it open
+        with pytest.raises(ArithmeticError), inner:
+            raise ArithmeticError("inner failed")
+        assert projection._OPEN.get() is outer
+        assert inner.memo == {}
+    assert projection._OPEN.get() is None  # leaving the outermost block drops it
+    with inner as ws:  # a workspace that joined once can open later
+        assert ws is inner and projection._OPEN.get() is inner
+    assert projection._OPEN.get() is None
+
+
+@pytest.mark.parametrize("kind", ["full", "tti"])
+def test_a_cascade_in_a_nested_workspace_fills_the_open_memo(kind):
+    p = random_problem("21", GenParams(max_tdeg=2, terms=3, coeff_bound=5, seed=1))
+    o = VariableOrdering(p.variables[::-1])
+    with projection.Workspace() as outer:
+        with projection.Workspace():
+            stages = project_cascade(p, o, kind)
+        assert outer.memo[p, kind, o.indices[:1]] is stages[0]
+        assert project_cascade(p, o, kind)[-1] is stages[-1]
+
+
 @pytest.mark.parametrize("kind", ["full", "tti"])
 @pytest.mark.parametrize("nvars", [2, 3, 4])
 def test_cascade_without_a_workspace_projects_once_per_stage(kind, nvars, monkeypatch):

@@ -143,3 +143,12 @@ def test_ndrr_takes_one_squarefree_part_per_member(monkeypatch):
     assert ndrr(members) == 2 + 3 + 2
     # the root counts trust normalize_set's squarefree parts
     assert calls == members
+
+    calls.clear()
+    with projection.Workspace() as ws:
+        assert ndrr(members) == 7
+        assert projection._OPEN.get() is ws  # ndrr joined it and left it open
+        assert ndrr(members) == 7
+    assert calls == members  # once per member across both calls
+    for f in members:
+        assert ws.memo[spy, f] == squarefree_part(f)  # keyed by the function called
