@@ -23,7 +23,6 @@ from cadorder.polys import (
     Polynomial,
     discriminant,
     poly_gcd,
-    prem,
     resultant,
     sign_normalize,
     squarefree_part,
@@ -64,7 +63,6 @@ __all__ = [
     "newh_set",
     "parse_problem",
     "poly_gcd",
-    "prem",
     "print_problem",
     "project_cascade",
     "random_problem",

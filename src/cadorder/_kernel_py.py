@@ -3,10 +3,10 @@
 A polynomial with n variables is stored as a dict mapping exponent tuples of
 length n to nonzero coefficients.  The functions below are the inner loops
 of every gcd and projection computation in the package, of the ``.prob``
-parser, and of the one pseudo-remainder that resultants and ``prem`` share,
-which runs them on lists of coefficient term maps in one variable.  This is
-the package's only kernel; ``polys`` and ``probio`` call it through module
-attributes.
+parser, and of the one subresultant loop that resultants and the gcd
+fallback share, which runs them on lists of coefficient term maps in one
+variable.  This is the package's only kernel; ``polys`` and ``probio`` call
+it through module attributes.
 
 ``kleading``, ``kadd``, ``ksub``, ``kneg``, ``kscale``, ``kmul``, ``kpow``
 and ``kderiv`` accept any exact coefficients: the parser runs them on

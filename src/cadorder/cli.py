@@ -135,17 +135,15 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_heuristics(spec: str) -> list[HeuristicId]:
-    """argparse type of --heuristics: comma-separated ids, or 'all'; each
-    id once, in its first position."""
-    if spec.strip() == "all":
-        return list(HeuristicId)
+    """argparse type of --heuristics: comma-separated ids, 'all' standing
+    for every id; each id once, in its first position."""
     out = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
         try:
-            out.append(HeuristicId(token))
+            out += HeuristicId if token == "all" else [HeuristicId(token)]
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"unknown heuristic '{token}' (known: {', '.join(_ALL_IDS)}, all)") from None
@@ -303,7 +301,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run heuristics over a corpus")
     p.add_argument("--corpus", required=True, help="directory of .prob files")
     p.add_argument("--heuristics", required=True, type=_parse_heuristics,
-                   help="comma-separated heuristic ids, or 'all'")
+                   help="comma-separated heuristic ids; 'all' stands for every id")
     p.add_argument("--out", required=True, help="choices CSV to write")
     p.set_defaults(fn=_cmd_sweep)
 

@@ -14,8 +14,9 @@ Conventions used throughout the package:
 * discriminants of polynomials of degree < 2 in the main variable are 1;
 * gcds include the shared integer content and are sign-normalized.
 
-Resultants and ``prem`` share one pseudo-remainder, on lists of the
-coefficient term maps of their operands in the eliminated variable.
+Resultants and the gcd fallback share one subresultant loop, and with it
+one pseudo-remainder, on lists of the coefficient term maps of their
+operands in the eliminated variable.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "content_primitive",
     "poly_gcd",
     "squarefree_part",
-    "prem",
     "resultant",
     "discriminant",
     "exact_div",
@@ -378,19 +378,26 @@ def _quotient(a: dict, b: dict) -> dict:
     return q
 
 
-def prem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
-    """Pseudo-remainder of f by g in v with multiplier lc(g)^(df-dg+1)."""
-    if f.nvars != g.nvars:
-        raise ValueError("mixing polynomials from different variable contexts")
-    dg = g.degree(v)
-    if dg < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    df = f.degree(v)
-    if df < dg:
-        raise ValueError("pseudo-division needs deg f >= deg g")
-    r = _list_prem(f._coefficient_terms(v, df), g._coefficient_terms(v, dg))
-    return Polynomial._raw(f.nvars, {e[:v] + (i,) + e[v + 1:]: x
-                                     for i, c in enumerate(r) for e, x in c.items()})
+def _subresultants(A: list[dict], B: list[dict]) -> tuple[list[dict], list[dict], dict, int]:
+    """The subresultant remainder sequence (Collins, JACM 14 (1967) 128-142;
+    Brown and Traub, JACM 18 (1971) 505-514) of coefficient term maps in v
+    (lowest power first, top entries nonzero, len(A) >= len(B) >= 2), run
+    until its last member is zero or free of v.  Returns its last two
+    members, the last h, and the sign its degree parities add to the
+    resultant."""
+    one = {(0,) * len(next(iter(A[-1]))): 1}
+    s, gg, h = 1, one, one
+    while len(B) > 1:
+        dA, dB = len(A) - 1, len(B) - 1
+        delta = dA - dB
+        if dA % 2 == 1 and dB % 2 == 1:
+            s = -s
+        d = _k.kmul(gg, _k.kpow(h, delta, one))
+        A, B = B, [_quotient(c, d) for c in _list_prem(A, B)]
+        gg = A[-1]
+        if delta:
+            h = _quotient(_k.kpow(gg, delta, one), _k.kpow(h, delta - 1, one))
+    return A, B, h, s
 
 
 def _evaluate(f: Polynomial, v: int, xi: int) -> Polynomial:
@@ -452,8 +459,10 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     gcd is the integer gcd of c and every coefficient of the other operand
     times X to the componentwise minimum of e and the other operand's
     exponents.  Otherwise tries the heuristic GCD (GCDHEU) on the inputs
-    with their integer contents stripped, and falls back to a primitive
-    remainder sequence in the greatest variable when it fails.
+    with their integer contents stripped.  When it fails, the gcd of the
+    contents in the greatest variable v times the primitive part in v of
+    the last nonzero member of the primitive parts' subresultant sequence
+    (1 when that member is free of v).
     """
     if f.nvars != g.nvars:
         raise ValueError("mixing polynomials from different variable contexts")
@@ -480,19 +489,17 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     cf, pf = content_primitive(f, v)
     cg, pg = content_primitive(g, v)
     cont = poly_gcd(cf, cg)
-    a, b = pf, pg
-    if a.degree(v) < b.degree(v):
-        a, b = b, a
-    while not b.is_zero():
-        r = prem(a, b, v)
-        if r.is_zero():
-            a, b = b, r
-        else:
-            a, b = b, content_primitive(r, v)[1]
-    if a.is_const():
-        return sign_normalize(cont)
-    # a is primitive in v: it is pf, pg or a remainder made primitive above.
-    return sign_normalize(cont * a)
+    m, n = pf.degree(v), pg.degree(v)
+    if m < n:
+        pf, pg, m, n = pg, pf, n, m
+    if n:  # else pg is a unit, coprime to pf
+        a, b, _, _ = _subresultants(pf._coefficient_terms(v, m), pg._coefficient_terms(v, n))
+        if not b:  # else the sequence ends on a nonzero member free of v
+            # a, the last nonzero member, is similar to the gcd of pf and pg
+            a = Polynomial._raw(f.nvars, {e[:v] + (i,) + e[v + 1:]: x
+                                          for i, c in enumerate(a) for e, x in c.items()})
+            cont = cont * content_primitive(a, v)[1]
+    return sign_normalize(cont)
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:
@@ -557,24 +564,13 @@ def resultant(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
     a, A = _int_content_primitive(A)
     b, B = _int_content_primitive(B)
     t = a ** n * b ** m
-    A, B = A._coefficient_terms(v, m), B._coefficient_terms(v, n)
-    one = {(0,) * f.nvars: 1}
-    gg, h = one, one
-    while len(B) > 1:  # n >= 2, so B starts with at least three entries
-        dA, dB = len(A) - 1, len(B) - 1
-        delta = dA - dB
-        if dA % 2 == 1 and dB % 2 == 1:
-            s = -s
-        d = _k.kmul(gg, _k.kpow(h, delta, one))
-        A, B = B, [_quotient(c, d) for c in _list_prem(A, B)]
-        gg = A[-1]
-        if delta:
-            h = _quotient(_k.kpow(gg, delta, one), _k.kpow(h, delta - 1, one))
+    A, B, h, s2 = _subresultants(A._coefficient_terms(v, m), B._coefficient_terms(v, n))
     if not B:
         return Polynomial.zero(f.nvars)
     dA = len(A) - 1  # the last step, with B[0] free of v, gives the resultant
+    one = {(0,) * f.nvars: 1}
     h = _quotient(_k.kpow(B[0], dA, one), _k.kpow(h, dA - 1, one))
-    return Polynomial._raw(f.nvars, _k.kscale(h, s * t))
+    return Polynomial._raw(f.nvars, _k.kscale(h, s * s2 * t))
 
 
 def discriminant(f: Polynomial, v: int) -> Polynomial:

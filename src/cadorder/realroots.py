@@ -30,16 +30,25 @@ def _shift1(c: list[int]) -> list[int]:
 
 
 def _roots_01(c: list[int]) -> int:
-    """Number of roots in (0, 1) of the squarefree p with coefficients c."""
-    signs = [a > 0 for a in _shift1(c[::-1]) if a]
-    v = sum(s != t for s, t in zip(signs, signs[1:]))
-    if v < 2:
-        return v
-    n = len(c) - 1
-    left = [a << (n - i) for i, a in enumerate(c)]  # 2^n p(x / 2)
-    right = _shift1(left)  # 2^n p((x + 1) / 2)
-    mid = 1 if right[0] == 0 else 0
-    return _roots_01(left) + mid + _roots_01(right[mid:])
+    """Number of roots in (0, 1) of the squarefree p with coefficients c.
+    The halves wait on a list, not on the call stack, so roots closer than
+    2^-1000 do not run into the recursion limit."""
+    count, todo = 0, [c]
+    while todo:
+        c = todo.pop()
+        signs = [a > 0 for a in _shift1(c[::-1]) if a]
+        v = sum(s != t for s, t in zip(signs, signs[1:]))
+        if v < 2:
+            count += v
+            continue
+        n = len(c) - 1
+        left = [a << (n - i) for i, a in enumerate(c)]  # 2^n p(x / 2)
+        right = _shift1(left)  # 2^n p((x + 1) / 2)
+        if right[0] == 0:  # a root at the midpoint
+            count += 1
+            right = right[1:]
+        todo += left, right
+    return count
 
 
 def count_real_roots(f: Polynomial) -> int:

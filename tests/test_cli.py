@@ -247,6 +247,22 @@ def test_repeated_heuristic_ids_are_swept_once():
     assert cli._parse_heuristics("brown, sotd,brown") == [HeuristicId.BROWN, HeuristicId.SOTD]
 
 
+def test_all_is_a_heuristics_token(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run(capsys, "gen", "--types", "10,21", "--count", "1", "--seed", "1", "--vars", "2",
+               "--max-tdeg", "2", "--terms", "2", "--out", str(corpus))[0] == 0
+    written = []
+    for spec in ("all", "sotd,all"):
+        out = tmp_path / f"{spec}.csv"
+        assert run(capsys, "sweep", "--corpus", str(corpus), "--heuristics", spec,
+                   "--out", str(out))[0] == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        written.append([{k: v for k, v in r.items() if k != "heuristic_time_s"} for r in rows])
+    assert len(written[0]) == 2 * len(HeuristicId)
+    assert written[0] == written[1]
+
+
 def test_sweep_rejects_unknown_heuristic(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert run(capsys, *gen_args(corpus))[0] == 0

@@ -73,6 +73,13 @@ def test_count_mignotte_like_within_cpu_bound(d, a):
     assert time.process_time() - start < 5.0
 
 
+@pytest.mark.parametrize("k", [1100, 3000])
+def test_count_roots_closer_than_the_recursion_limit(k):
+    # separating roots 2^-k apart takes about k bisection levels, more than
+    # Python's default recursion limit of 1000
+    assert count_real_roots((2**k * X - 1) * (2**k * X - 2)) == 2
+
+
 def test_count_invariant_under_squarefree_and_scaling():
     rng = random.Random(4102)
     for _ in range(60):

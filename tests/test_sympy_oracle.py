@@ -3,10 +3,11 @@
 A third, independent implementation next to `oracles.py`: resultants and
 discriminants must agree exactly (resultants with the larger degree first,
 see `test_resultant_sign_follows_the_sylvester_determinant`), gcds with a
-single-term operand exactly (integer content included), squarefree
-parts up to sympy's content and sign, and real-root counts with
-`Poly.count_roots` (distinct roots).  The `.prob` parser is checked against
-sympy's expansion, since it shares the kernel's arithmetic with `Polynomial`.
+single-term operand and gcds by the subresultant fallback exactly (integer
+content included), squarefree parts up to sympy's content and sign, and
+real-root counts with `Poly.count_roots` (distinct roots).  The `.prob`
+parser is checked against sympy's expansion, since it shares the kernel's
+arithmetic with `Polynomial`.
 """
 
 import random
@@ -16,6 +17,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cadorder import polys
 from cadorder.formula import Relop
 from cadorder.generator import GenParams, random_polynomial
 from cadorder.polys import (
@@ -135,6 +137,39 @@ def test_gcd_with_a_single_term_equals_sympy_gcd(e, c, g):
     want = sign_normalize(from_sympy(sympy.gcd(to_sympy(m), to_sympy(g)), 3))
     assert poly_gcd(m, g) == want
     assert poly_gcd(g, m) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gcd_fallback_equals_sympy_gcd(seed, monkeypatch):
+    # with GCDHEU failing, every gcd of multi-term operands, the inner
+    # content gcds included, runs the subresultant sequence of the
+    # primitive parts in the greatest variable v
+    rng = random.Random(700 + seed)
+    ends = []
+    subresultants = polys._subresultants
+
+    def spy(A, B):
+        out = subresultants(A, B)
+        ends.append("v-free" if out[1] else "zero")
+        return out
+
+    monkeypatch.setattr(polys, "_heuristic_gcd", lambda f, g: None)
+    monkeypatch.setattr(polys, "_subresultants", spy)
+    x, y, z = (Polynomial.var(3, i) for i in range(3))
+    cases = []
+    for _ in range(5):  # a planted common factor
+        w = rand_poly(rng, 3, max_deg=2, terms=3, factor=False)
+        f, g = (rand_poly(rng, 3, max_deg=2, factor=False) * w for _ in range(2))
+        cases.append((f, g))
+    # coprime in v = z: the sequence ends on a nonzero member free of z
+    cases += [(z**2 + x, z + y), (x * z**3 - 3 * y, (y * z + 2) * (x + 1))]
+    # g free of z: its primitive part in z has degree 0
+    cases += [((x + 1) * (y * z + 2), (x + 1) * (x**2 - 3 * y)), (z**2 * y - x, 2 * y - 6)]
+    for f, g in cases:
+        want = sign_normalize(from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)), 3))
+        assert poly_gcd(f, g) == want
+        assert poly_gcd(g, f) == want
+    assert {"v-free", "zero"} <= set(ends)
 
 
 @pytest.mark.parametrize("seed", range(6))
