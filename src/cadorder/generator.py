@@ -17,7 +17,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from cadorder.formula import QFF, Constraint, Problem, Relop, Variable
 from cadorder.polys import Polynomial
@@ -71,13 +70,15 @@ def item_seed(seed: int, label: str, index: int) -> int:
 
 @lru_cache(maxsize=8)
 def _monomial_pool(n_vars: int, max_tdeg: int) -> tuple[tuple[int, ...], ...]:
-    """Every exponent tuple of total degree <= max_tdeg, sorted.  Memoized
-    for the life of the process, one entry for each of the eight most
-    recently used (n_vars, max_tdeg) pairs; the pool is a tuple, so the
-    callers that share it cannot change it."""
-    return tuple(sorted(
-        e for e in product(range(max_tdeg + 1), repeat=n_vars) if sum(e) <= max_tdeg
-    ))
+    """Every exponent tuple of total degree <= max_tdeg, sorted.  Built one
+    variable at a time, so the work is the size of the pool, not
+    (max_tdeg+1)^n_vars.  Memoized for the life of the process, one entry for
+    each of the eight most recently used (n_vars, max_tdeg) pairs; the pool
+    is a tuple, so the callers that share it cannot change it."""
+    pool: list[tuple[int, ...]] = [()]
+    for _ in range(n_vars):
+        pool = [e + (k,) for e in pool for k in range(max_tdeg - sum(e) + 1)]
+    return tuple(pool)
 
 
 def random_polynomial(params: GenParams, rng: random.Random) -> Polynomial:

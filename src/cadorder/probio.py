@@ -28,8 +28,8 @@ from cadorder.polys import Polynomial
 __all__ = ["ProblemFormatError", "parse_problem", "print_problem"]
 
 _TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<num>\d+)|(?P<ident>{_IDENTIFIER.pattern})"
-    r"|(?P<relop>!=|<=|>=|=|<|>)|(?P<op>[-+*/^(),]))"
+    rf"(?P<num>\d+)|(?P<ident>{_IDENTIFIER.pattern})"
+    r"|(?P<relop>!=|<=|>=|=|<|>)|(?P<op>[-+*/^(),])|(?P<bad>\S)"
 )
 
 
@@ -52,113 +52,84 @@ class _LineError(Exception):
 def _tokenize(text: str, offset: int) -> list[tuple[str, str, int]]:
     """Tokens as (kind, value, column) with 1-based columns."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = offset + pos + (len(text[pos:]) - len(stripped))
-            raise _LineError(col + 1, f"unexpected character {stripped[0]!r}")
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), offset + m.start(kind) + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise _LineError(offset + m.start() + 1, f"unexpected character {m.group()!r}")
+        tokens.append((m.lastgroup, m.group(), offset + m.start() + 1))
     return tokens
 
 
-class _ExprParser:
-    """Recursive-descent parser producing Fraction-coefficient term dicts,
-    combined with the kernel's coefficient-generic ring operations."""
+_BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_NEG_PREC = 3  # unary minus; '(' is 0, so applying from 1 up stops at it
 
-    def __init__(self, tokens, names: dict[str, int], nvars: int, end_col: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.names = names
-        self.nvars = nvars
-        self.end_col = end_col
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _parse_expr(tokens, names: dict[str, int], nvars: int, end_col: int) -> dict:
+    """Term map (exponent tuple -> Fraction) of one side of a constraint, by
+    operator precedence on explicit operand and operator lists, so nesting is
+    bounded only by memory.  Pending operators are applied before any error
+    after them is raised, which gives errors in left-to-right order;
+    ``end_col`` is the column reported when the tokens run out."""
+    one = {(0,) * nvars: Fraction(1)}
+    operands: list[dict] = []
+    pending: list[tuple[int, tuple]] = []  # (precedence, token)
 
-    def take(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def fail(self, msg, tok=None):
-        col = tok[2] if tok is not None else self.end_col
-        raise _LineError(col, msg)
-
-    # term dicts map exponent tuples to Fractions
-    def _const(self, value) -> dict:
-        return {(0,) * self.nvars: Fraction(value)} if value else {}
-
-    def parse_expr(self) -> dict:
-        acc = self.parse_term()
-        while (tok := self.peek()) is not None and tok[1] in ("+", "-"):
-            self.take()
-            op = _k.ksub if tok[1] == "-" else _k.kadd
-            acc = op(acc, self.parse_term())
-        return acc
-
-    def parse_term(self) -> dict:
-        acc = self.parse_factor()
-        while (tok := self.peek()) is not None and tok[1] in ("*", "/"):
-            self.take()
-            rhs = self.parse_factor()
-            if tok[1] == "*":
-                acc = _k.kmul(acc, rhs)
+    def apply(prec: int) -> None:
+        while pending and pending[-1][0] >= prec:
+            p, tok = pending.pop()
+            b = operands.pop()
+            if p == _NEG_PREC:
+                operands.append(_k.kneg(b))
+            elif tok[1] == "/":
+                if any(any(e) for e in b):
+                    raise _LineError(tok[2], "division is only allowed by a rational constant")
+                if not b:
+                    raise _LineError(tok[2], "division by zero")
+                operands[-1] = _k.kscale(operands[-1], 1 / b[(0,) * nvars])
             else:
-                if any(any(e) for e in rhs):
-                    self.fail("division is only allowed by a rational constant", tok)
-                value = rhs.get((0,) * self.nvars, Fraction(0))
-                if value == 0:
-                    self.fail("division by zero", tok)
-                acc = _k.kscale(acc, 1 / value)
-        return acc
+                op = {"+": _k.kadd, "-": _k.ksub, "*": _k.kmul}[tok[1]]
+                operands[-1] = op(operands[-1], b)
 
-    def parse_factor(self) -> dict:
-        tok = self.peek()
-        if tok is not None and tok[1] in ("+", "-"):
-            self.take()
-            inner = self.parse_factor()
-            return _k.kneg(inner) if tok[1] == "-" else inner
-        return self.parse_power()
-
-    def parse_power(self) -> dict:
-        base = self.parse_atom()
-        while (tok := self.peek()) is not None and tok[1] == "^":
-            self.take()
-            exp = self.take()
-            if exp is None or exp[0] != "num":
-                self.fail("exponent must be a nonnegative integer literal",
-                          exp if exp is not None else tok)
-            base = _k.kpow(base, int(exp[1]), self._const(1))
-        return base
-
-    def parse_atom(self) -> dict:
-        tok = self.take()
-        if tok is None:
-            self.fail("expected a number, variable or '('")
+    want_operand = True
+    it = iter(tokens)
+    for tok in it:
         kind, value, col = tok
-        if kind == "num":
-            return self._const(int(value))
-        if kind == "ident":
-            idx = self.names.get(value)
-            if idx is None:
-                self.fail(f"undeclared variable '{value}'", tok)
-            e = [0] * self.nvars
-            e[idx] = 1
-            return {tuple(e): Fraction(1)}
-        if value == "(":
-            inner = self.parse_expr()
-            closing = self.take()
-            if closing is None or closing[1] != ")":
-                self.fail("expected ')'", closing)
-            return inner
-        self.fail(f"unexpected token {value!r}", tok)
+        if want_operand:
+            if kind == "num":
+                operands.append(_k.kscale(one, int(value)))
+            elif kind == "ident":
+                idx = names.get(value)
+                if idx is None:
+                    raise _LineError(col, f"undeclared variable '{value}'")
+                operands.append({tuple(int(i == idx) for i in range(nvars)): Fraction(1)})
+            elif value in ("(", "-"):
+                pending.append((0 if value == "(" else _NEG_PREC, tok))
+                continue
+            elif value == "+":
+                continue
+            else:
+                raise _LineError(col, f"unexpected token {value!r}")
+            want_operand = False
+        elif value == "^":
+            exp = next(it, None)
+            if exp is None or exp[0] != "num":
+                raise _LineError((exp or tok)[2], "exponent must be a nonnegative integer literal")
+            operands[-1] = _k.kpow(operands[-1], int(exp[1]), one)
+        elif value in _BINARY_PREC:
+            apply(_BINARY_PREC[value])
+            pending.append((_BINARY_PREC[value], tok))
+            want_operand = True
+        else:  # ')' closes the innermost '('; anything else ends the expression
+            apply(1)
+            if value == ")" and pending:
+                pending.pop()
+            else:
+                raise _LineError(col, "expected ')'" if pending else f"unexpected token {value!r}")
+    if want_operand:
+        raise _LineError(end_col, "expected a number, variable or '('")
+    apply(1)
+    if pending:
+        raise _LineError(end_col, "expected ')'")
+    return operands[0]
 
 
 def _clear_denominators(frac_terms: dict, nvars: int) -> Polynomial:
@@ -169,8 +140,7 @@ def _clear_denominators(frac_terms: dict, nvars: int) -> Polynomial:
 def _parse_constraint(tokens, names, nvars, end_col) -> Constraint:
     split_at = [i for i, t in enumerate(tokens) if t[0] == "relop"]
     if not split_at:
-        col = tokens[0][2] if tokens else end_col
-        raise _LineError(col, "constraint needs a relational operator")
+        raise _LineError(tokens[0][2], "constraint needs a relational operator")
     if len(split_at) > 1:
         raise _LineError(tokens[split_at[1]][2], "more than one relational operator")
     i = split_at[0]
@@ -180,17 +150,8 @@ def _parse_constraint(tokens, names, nvars, end_col) -> Constraint:
         raise _LineError(tokens[i][2], "missing left-hand side")
     if not rhs_tokens:
         raise _LineError(tokens[i][2], "missing right-hand side")
-
-    def run(toks, end):
-        p = _ExprParser(toks, names, nvars, end)
-        terms = p.parse_expr()
-        leftover = p.peek()
-        if leftover is not None:
-            raise _LineError(leftover[2], f"unexpected token {leftover[1]!r}")
-        return terms
-
-    lhs = run(lhs_tokens, tokens[i][2])
-    rhs = run(rhs_tokens, end_col)
+    lhs = _parse_expr(lhs_tokens, names, nvars, tokens[i][2])
+    rhs = _parse_expr(rhs_tokens, names, nvars, end_col)
     return Constraint(_clear_denominators(_k.ksub(lhs, rhs), nvars), relop)
 
 
@@ -239,30 +200,23 @@ def parse_problem(text: str) -> Problem:
                 tokens = _tokenize(rest, rest_offset)
                 if not tokens:
                     raise _LineError(rest_offset + 1, "empty QFF")
-                groups: list[list] = [[]]
-                closers: list[int] = []  # column of the comma ending each group
-                for tok in tokens:
-                    if tok[1] == "," and tok[0] == "op":
-                        closers.append(tok[2])
-                        groups.append([])
-                    else:
-                        groups[-1].append(tok)
-                end_col = rest_offset + len(rest) + 1
-                closers.append(end_col)
-                constraints = []
-                for gi, group in enumerate(groups):
+                # the end of the line closes the last constraint like a comma
+                end = ("op", ",", rest_offset + len(rest) + 1)
+                constraints: list[Constraint] = []
+                group: list = []
+                for tok in tokens + [end]:
+                    if tok[1] != ",":
+                        group.append(tok)
+                        continue
                     if not group:
-                        raise _LineError(closers[gi], "empty constraint")
-                    group_end = (
-                        groups[gi + 1][0][2] - 1 if gi + 1 < len(groups) and groups[gi + 1]
-                        else end_col
-                    )
+                        raise _LineError(tok[2], "empty constraint")
                     try:
                         constraints.append(
-                            _parse_constraint(group, names, len(variables), group_end)
+                            _parse_constraint(group, names, len(variables), tok[2])
                         )
                     except ValueError as exc:  # Constraint rejects a zero polynomial
                         raise _LineError(group[0][2], str(exc)) from exc
+                    group = []
                 qffs.append(QFF(tuple(constraints)))
             else:
                 raise _LineError(m.start(2) + 1, f"unknown line keyword '{keyword}'")

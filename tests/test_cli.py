@@ -331,6 +331,29 @@ def test_sweep_and_eval_reject_a_repeated_manifest_id(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+# 300 nested parentheses, 1 200 unary minuses: deeper than the interpreter's
+# recursion limit allows a recursive-descent parser to go
+DEEP_PROBLEMS = {
+    "parens.prob": f"vars: x,y\nqff: {'(' * 300}x{')' * 300} = y\n",
+    "minuses.prob": f"vars: x,y\nqff: {'-' * 1200}x^2 + y^2 < 1\n",
+}
+
+
+def test_deeply_nested_problems_are_suggested_and_swept(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in DEEP_PROBLEMS.items():
+        path = write_prob(corpus, text, name=name)
+        assert run(capsys, "suggest", path, "--all")[0] == 0
+    out = tmp_path / "choices.csv"
+    assert run(capsys, "sweep", "--corpus", str(corpus), "--heuristics", "all",
+               "--out", str(out))[0] == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * len(HeuristicId) == 24
+    assert all(r["status"] == "ok" for r in rows)
+
+
 def test_sweep_on_empty_directory(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,6 +1,8 @@
 """Seeded problem generation: determinism, shape laws, golden values."""
 
 import random
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -106,6 +108,17 @@ def test_monomial_pool_is_built_once_per_parameter_pair():
     assert pool == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
     assert _monomial_pool(2, 2) is pool and isinstance(pool, tuple)
     assert len(_monomial_pool(3, 2)) == 10
+
+
+def test_monomial_pool_grows_with_its_size_not_with_the_exponent_box():
+    for n_vars in range(1, 7):
+        for max_tdeg in range(1, 6):
+            brute = tuple(sorted(
+                e for e in product(range(max_tdeg + 1), repeat=n_vars) if sum(e) <= max_tdeg
+            ))
+            assert _monomial_pool(n_vars, max_tdeg) == brute
+    # the box holds 5^20 tuples; the pool is only the C(24, 4) of degree <= 4
+    assert len(_monomial_pool(20, 4)) == comb(24, 4)
 
 
 def test_single_term_draws():

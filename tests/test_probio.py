@@ -106,12 +106,26 @@ def test_error_positions_and_messages():
     assert errs("vars: x\nqff: , x > 0\n") == [(2, 6, "empty constraint")]
     assert errs("vars: x\nqff: x > 0, , x < 1\n") == [(2, 13, "empty constraint")]
     assert errs("vars: x\nqff: x > 0,\n") == [(2, 12, "empty constraint")]
+    # so is an unfinished one, whatever follows the comma
+    assert errs("vars: x,y\nqff: x > (y,   y < 0\n") == [(2, 12, "expected ')'")]
+    assert errs("vars: x,y\nqff: x > (y, , y < 0\n") == [(2, 12, "expected ')'")]
     # with no valid variable the constraint's polynomial cannot be built; that
     # ValueError is reported on its line, never raised bare
     assert errs("vars: 1x\nqff: 2 > 0\n") == [
         (1, 7, "invalid variable name '1x'"),
         (2, 6, "a polynomial context needs at least one variable"),
     ]
+
+
+def test_nesting_depth_is_bounded_only_by_memory():
+    x, y = Polynomial.var(2, 0), Polynomial.var(2, 1)
+    n = 3000
+    c = parse_problem(f"vars: x,y\nqff: {'(' * n}x{')' * n} > 0\n").qffs[0].constraints[0]
+    assert (c.poly, c.relop) == (x, Relop.GT)
+    c = parse_problem(f"vars: x,y\nqff: {'-' * 5001}x - y < 0\n").qffs[0].constraints[0]
+    assert (c.poly, c.relop) == (x + y, Relop.GT)
+    text = f"vars: x\nqff: {'(' * n}x = 0\n"
+    assert errs(text) == [(2, text.splitlines()[1].index("=") + 1, "expected ')'")]
 
 
 def test_one_error_per_line_all_lines_reported():

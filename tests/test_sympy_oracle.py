@@ -225,35 +225,51 @@ def test_count_real_roots_equals_sympy_count_roots(seed):
         assert count_real_roots(f) == want, f
 
 
-def rand_expr(rng, depth):
-    """A random expression tree as (.prob text, sympy expression) over x, y, z."""
+# binding strengths of what an expression text is, loosest first
+SUM, PRODUCT, NEGATION, POWER, ATOM = range(5)
+
+
+def rand_expr(rng, depth, minimal):
+    """A random expression tree as (.prob text, sympy expression, binding
+    strength) over x, y, z.  With ``minimal`` the text has only the
+    parentheses the grammar needs: ``+ - * /`` associate to the left, unary
+    minus is bare and a power's base is an atom or parenthesized; otherwise
+    every subexpression is parenthesized."""
+    def wrap(text, strength, need):
+        return text if minimal and strength >= need else f"({text})"
+
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.6:
             i = rng.randrange(3)
-            return "xyz"[i], SYMS[i]
+            return "xyz"[i], SYMS[i], ATOM
         k = rng.randint(0, 9)
-        return str(k), sympy.Integer(k)
+        return str(k), sympy.Integer(k), ATOM
     op = rng.choice("+-*^n/")
     # a power's base is at most one operation deep, so degrees stay small
-    a, ea = rand_expr(rng, depth - 1 if op != "^" else min(depth - 1, 1))
+    a, ea, sa = rand_expr(rng, depth - 1 if op != "^" else min(depth - 1, 1), minimal)
     if op == "^":
         k = rng.randint(0, 4)
-        return f"({a})^{k}", ea**k
+        return f"{wrap(a, sa, ATOM)}^{k}", ea**k, POWER
     if op == "n":
-        return f"-({a})", -ea
+        return f"-{wrap(a, sa, NEGATION)}", -ea, NEGATION
     if op == "/":
         num, den = rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)
-        return f"({a})/({num}/{den})", ea / sympy.Rational(num, den)
-    b, eb = rand_expr(rng, depth - 1)
-    return f"({a}){op}({b})", {"+": ea + eb, "-": ea - eb, "*": ea * eb}[op]
+        if minimal:  # a chain like x/2/3 divides by 6
+            return f"{wrap(a, sa, PRODUCT)}/{num}/{den}", ea / (num * den), PRODUCT
+        return f"({a})/({num}/{den})", ea / sympy.Rational(num, den), PRODUCT
+    b, eb, sb = rand_expr(rng, depth - 1, minimal)
+    binds = SUM if op in "+-" else PRODUCT
+    text = f"{wrap(a, sa, binds)}{op}{wrap(b, sb, binds + 1)}"
+    return text, {"+": ea + eb, "-": ea - eb, "*": ea * eb}[op], binds
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_parser_equals_sympy_expansion(seed):
     rng = random.Random(300 + seed)
+    minimal = seed % 2 == 1
     for _ in range(25):
-        lhs, elhs = rand_expr(rng, 3)
-        rhs, erhs = rand_expr(rng, 3)
+        lhs, elhs, _ = rand_expr(rng, 3, minimal)
+        rhs, erhs, _ = rand_expr(rng, 3, minimal)
         if rng.random() < 0.1:  # both sides equal: the constraint is zero
             rhs, erhs = f"({lhs})*1", elhs
         text = f"vars: x,y,z\nqff: {lhs} < {rhs}\n"
