@@ -14,6 +14,11 @@ Conventions used throughout the package:
 * discriminants of polynomials of degree < 2 in the main variable are 1;
 * gcds include the shared integer content and are sign-normalized.
 
+A single-term operand is closed-form in ``poly_gcd`` (the integer gcd of
+the coefficients times X to the componentwise minimum of the exponents) and
+in ``squarefree_part`` (X to the support of the exponent), so neither
+reaches a derivative, a division or the general gcd.
+
 Resultants and the gcd fallback share one subresultant loop, and with it
 one pseudo-remainder, on lists of the coefficient term maps of their
 operands in the eliminated variable.
@@ -22,6 +27,7 @@ operands in the eliminated variable.
 from __future__ import annotations
 
 from math import gcd as _int_gcd, isqrt
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from cadorder import _kernel_py as _k
@@ -76,9 +82,9 @@ class Polynomial:
                     raise ValueError(f"negative exponent in {e}")
                 if c:
                     clean[exps] = _integer(c, "coefficient")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_nvars(self, nvars)
+        _set_terms(self, clean)
+        _set_hash(self, None)
 
     # -- construction -----------------------------------------------------
 
@@ -86,9 +92,9 @@ class Polynomial:
     def _raw(cls, nvars: int, terms: dict) -> "Polynomial":
         """Wrap an already-canonical term dict without re-validating."""
         self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        _set_nvars(self, nvars)
+        _set_terms(self, terms)
+        _set_hash(self, None)
         return self
 
     @classmethod
@@ -129,7 +135,7 @@ class Polynomial:
         h = self._hash
         if h is None:
             h = hash((self.nvars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __bool__(self):
@@ -141,7 +147,9 @@ class Polynomial:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        # canonical terms: a nonzero constant is the one term at exponent 0
+        t = self.terms
+        return not t or (len(t) == 1 and not any(next(iter(t))))
 
     def variables(self) -> frozenset[int]:
         """Indices of variables appearing with a positive exponent."""
@@ -158,7 +166,7 @@ class Polynomial:
             _check_index(v, self.nvars)
         if not self.terms:
             return -1
-        return max(e[v] for e in self.terms)
+        return max(map(itemgetter(v), self.terms))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -303,6 +311,12 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.to_str()})"
 
 
+# the slots' own setters, which bypass the immutable __setattr__
+_set_nvars = Polynomial.nvars.__set__
+_set_terms = Polynomial.terms.__set__
+_set_hash = Polynomial._hash.__set__
+
+
 # -- normalization helpers ----------------------------------------------------
 
 
@@ -339,7 +353,8 @@ def content_primitive(f: Polynomial, v: int) -> tuple[Polynomial, Polynomial]:
 
     The content is the (sign-normalized, integer content included) gcd of the
     coefficients of f in v; the primitive part carries the sign of f so the
-    product round-trips exactly.
+    product round-trips exactly.  When the content is 1 the primitive part
+    is f itself.
     """
     if f.is_zero():
         raise ValueError("content of the zero polynomial is undefined")
@@ -350,6 +365,8 @@ def content_primitive(f: Polynomial, v: int) -> tuple[Polynomial, Polynomial]:
             break
         cont = poly_gcd(cont, c)
     cont = sign_normalize(cont)
+    if cont.is_const() and cont.int_content() == 1:
+        return cont, f
     return cont, exact_div(f, cont)
 
 
@@ -505,7 +522,9 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 def squarefree_part(f: Polynomial) -> Polynomial:
     """Product of the distinct irreducible factors of f, sign-normalized.
 
-    Computed as f / d where d is the gcd of f with every partial derivative,
+    A single term c*X^e is closed-form: its squarefree part is X to the
+    support of e, the product of the variables it mentions.  Otherwise it
+    is f / d where d is the gcd of f with every partial derivative,
     accumulated successively over the variables present.  The quotient is
     taken once at the end, so the result is independent of the variable
     order and renaming variables renames the squarefree part.  The result
@@ -516,6 +535,9 @@ def squarefree_part(f: Polynomial) -> Polynomial:
         raise ValueError("squarefree part of the zero polynomial is undefined")
     if f.is_const():
         return sign_normalize(f)
+    if len(f.terms) == 1:
+        e, = f.terms
+        return Polynomial._raw(f.nvars, {tuple(1 if x else 0 for x in e): 1})
     d = f
     for v in sorted(f.variables()):
         d = poly_gcd(d, f.derivative(v))

@@ -213,6 +213,34 @@ def test_single_term_division_fixtures(a, b, want):
     assert _kernel_py.kexact_div(a, b) == want
 
 
+@st.composite
+def term_maps(draw):
+    """Polynomials in 1-4 variables: zero, a constant, a single term, or
+    several terms."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.one_of(
+        st.just({}),
+        st.builds(lambda c: {(0,) * n: c}, COEFFICIENTS),
+        st.dictionaries(exps, COEFFICIENTS, min_size=1, max_size=1),
+        st.dictionaries(exps, COEFFICIENTS, max_size=6),
+    ))
+    return Polynomial(n, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_maps())
+def test_queries_equal_their_naive_definitions(f):
+    t = f.terms
+    assert f.is_const() == all(not any(e) for e in t)
+    assert f.variables() == {i for e in t for i, x in enumerate(e) if x}
+    for v in range(f.nvars):
+        assert f.degree(v) == max([e[v] for e in t], default=-1)
+    if t:  # the monomial no other beats in total degree, then slot by slot
+        lead, = [e for e in t if all((sum(e), e) >= (sum(o), o) for o in t)]
+        assert f.lead_term() == _kernel_py.kleading(t) == (lead, t[lead])
+
+
 def test_content_primitive_round_trip():
     f = 6 * Y * X * X - 4 * Y * Y * X
     cont, prim = content_primitive(f, 0)
@@ -221,6 +249,9 @@ def test_content_primitive_round_trip():
     g = -3 * X - 6
     cont, prim = content_primitive(g, 0)
     assert cont == 3 and prim == -X - 2  # content positive, sign stays on prim
+    h = 2 * X * Y + 3 * Z  # primitive in x: f itself is the primitive part
+    cont, prim = content_primitive(h, 0)
+    assert cont == 1 and prim is h
     with pytest.raises(ValueError):
         content_primitive(Polynomial.zero(3), 0)
 
@@ -397,6 +428,38 @@ def test_squarefree_part_fixtures():
     assert squarefree_part(-3 * X * Y) == X * Y
     with pytest.raises(ValueError):
         squarefree_part(Polynomial.zero(3))
+
+
+def test_squarefree_part_of_a_single_term_is_closed_form(monkeypatch):
+    cases = [
+        (Polynomial(1, {(3,): -5}), Polynomial(1, {(1,): 1})),
+        (Polynomial(2, {(0, 2): 7}), Polynomial(2, {(0, 1): 1})),
+        (-12 * X**2 * Z**3, X * Z),
+        (X * Y * Z, X * Y * Z),
+        (Polynomial(4, {(4, 0, 1, 2): -1}), Polynomial(4, {(1, 0, 1, 1): 1})),
+        (Polynomial(4, {(0, 0, 0, 1): 30}), Polynomial(4, {(0, 0, 0, 1): 1})),
+    ]
+    # X to the support of the exponent: no gcd and no division
+    monkeypatch.setattr(polys_mod, "poly_gcd", None)
+    monkeypatch.setattr(polys_mod, "exact_div", None)
+    for f, want in cases:
+        assert squarefree_part(f) == want
+
+
+@st.composite
+def single_terms(draw):
+    n = draw(st.integers(1, 4))
+    e = draw(st.tuples(*[st.integers(0, 5)] * n).filter(any))
+    return Polynomial(n, {e: draw(st.integers(-60, 60).filter(bool))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_terms())
+def test_single_term_squarefree_part_equals_the_gcd_route(f):
+    d = f
+    for v in sorted(f.variables()):
+        d = poly_gcd(d, f.derivative(v))
+    assert squarefree_part(f) == sign_normalize(exact_div(f, d))
 
 
 def test_squarefree_part_has_no_repeated_factors():

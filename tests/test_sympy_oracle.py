@@ -175,9 +175,16 @@ def test_gcd_fallback_equals_sympy_gcd(seed, monkeypatch):
 @pytest.mark.parametrize("seed", range(6))
 def test_squarefree_part_equals_sympy_sqf_part(seed):
     rng = random.Random(100 + seed)
-    for _ in range(20):
+    cases = [rand_poly(rng, rng.randint(1, 3), max_deg=2, terms=3) for _ in range(20)]
+    # a monomial and a constant times a monomial, which take the closed form
+    for c in (1, rng.choice((-1, 1)) * rng.randint(2, 30)):
         nvars = rng.randint(1, 3)
-        f = rand_poly(rng, nvars, max_deg=2, terms=3)
+        e = (0,) * nvars
+        while not any(e):
+            e = tuple(rng.randint(0, 4) for _ in range(nvars))
+        cases.append(Polynomial(nvars, {e: c}))
+    for f in cases:
+        nvars = f.nvars
         g = from_sympy(sympy.sqf_part(sympy.Poly(to_sympy(f), *SYMS[:nvars])).as_expr(), nvars)
         c = g.int_content()
         g = Polynomial(nvars, {e: a // c for e, a in g.terms.items()})
